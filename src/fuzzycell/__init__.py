@@ -16,7 +16,6 @@ from .fuzznum import (
     FuzzyNumError,
     NotNormalError,
     alpha_cut,
-    clamp_low,
     crisp,
     defuzz_argmax,
     dilate,
@@ -59,7 +58,6 @@ __all__ = [
     "advance_position",
     "alpha_cut",
     "cell_occupancy",
-    "clamp_low",
     "crisp",
     "defuzz_argmax",
     "dilate",

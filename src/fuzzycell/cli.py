@@ -164,7 +164,8 @@ def _cmd_run(config, out_dir) -> int:
             simio.write_spacetime(frames, target)
         elif spec.kind == "queue":
             if config.model == "fcm":
-                simio.write_queue_csv(_fcm_queue_series(config), target)
+                states = states or _run_fcm(config)
+                simio.write_queue_csv(metrics.queue_series(states, _queue_slots(config)), target)
             else:
                 simio.write_queue_csv(_nasch_histogram(config), target)
         else:

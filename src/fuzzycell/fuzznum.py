@@ -42,7 +42,6 @@ __all__ = [
     "defuzz_argmax",
     "alpha_cut",
     "truncate",
-    "clamp_low",
     "wrap_mod",
     "oracle_ext_op",
 ]
@@ -245,6 +244,37 @@ def _from_dense(lo: int, arr: np.ndarray) -> FuzzyInt:
     return FuzzyInt._from_arrays(idx + lo, arr[idx])
 
 
+def _dense_rows(sets, lo: int = 0, width: int | None = None) -> np.ndarray:
+    """Embed many fuzzy sets as grade rows; column c holds value lo + c.
+
+    ``width`` defaults to the columns up to the largest support value.
+    """
+    if width is None:
+        width = max(int(f._values[-1]) for f in sets) - lo + 1
+    grid = np.zeros((len(sets), width), dtype=np.float64)
+    rows = np.arange(len(sets)).repeat([f._values.size for f in sets])
+    values = np.concatenate([f._values for f in sets]) - lo
+    grid[rows, values] = np.concatenate([f._grades for f in sets])
+    return grid
+
+
+def _from_dense_rows(lo: int, grid: np.ndarray) -> list[FuzzyInt]:
+    """The fuzzy set of each row of ``grid``, as :func:`_from_dense` does for one."""
+    rows, idx = grid.nonzero()
+    values = idx + lo
+    grades = grid[rows, idx]
+    values.setflags(write=False)  # slices of read-only arrays are read-only
+    grades.setflags(write=False)
+    ends = np.bincount(rows, minlength=grid.shape[0]).cumsum().tolist()
+    out = []
+    for start, end in zip([0, *ends], ends):
+        f = FuzzyInt.__new__(FuzzyInt)
+        f._values = values[start:end]
+        f._grades = grades[start:end]
+        out.append(f)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # extension-principle operations
 
@@ -422,17 +452,6 @@ def truncate(a: FuzzyInt, epsilon: float) -> FuzzyInt:
     if keep.all():
         return a
     return FuzzyInt._from_arrays(a._values[keep], a._grades[keep])
-
-
-def clamp_low(a: FuzzyInt, bound: int) -> FuzzyInt:
-    """Merge all support values below ``bound`` into ``bound`` (grade max)."""
-    if int(a._values[0]) >= bound:
-        return a
-    below = a._values <= bound
-    merged = float(a._grades[below].max())
-    values = np.concatenate(([bound], a._values[~below]))
-    grades = np.concatenate(([merged], a._grades[~below]))
-    return FuzzyInt._from_arrays(values, grades)
 
 
 def wrap_mod(a: FuzzyInt, modulus: int) -> FuzzyInt:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nasch as nasch_mod
-from .model import FcmState, FcmVehicle, _flow_summary, ring_state, run_ring
+from .model import FcmState, FcmVehicle, flow_summary, ring_state, run_ring
+from .simio import ScenarioValidationError
 
 __all__ = [
     "InsufficientStepsError",
@@ -111,9 +112,7 @@ class FlowSummary:
 
 def step_flow(state: FcmState, theta: float = 0.99) -> tuple[float, float, float]:
     """One step's fuzzy flow triple (argmax, cut low, cut high) per cell."""
-    if not state.vehicles:
-        return (0.0, 0.0, 0.0)
-    s_hat, s_lo, s_hi = _flow_summary(state.vehicles, theta)
+    s_hat, s_lo, s_hi = flow_summary(state, theta)
     c = state.road_length
     return (s_hat / c, s_lo / c, s_hi / c)
 
@@ -168,11 +167,15 @@ class NaschFdPoint:
 def sweep_fundamental_diagram(config, densities=None, warmup=None, window=None):
     """Run the configured model across ring densities, one point each.
 
-    ``config`` is a scenario configuration; its first vehicle class
-    defines the fleet.  Explicit arguments override the scenario's
-    diagram settings.  Returns FdPoint or NaschFdPoint entries in
-    density order.
+    ``config`` is a scenario configuration on a ring road; its first
+    vehicle class defines the fleet.  Explicit arguments override the
+    scenario's diagram settings.  Returns FdPoint or NaschFdPoint entries
+    in density order.
     """
+    if config.boundary != "ring":
+        raise ScenarioValidationError(
+            f"fundamental diagrams need a ring road, not boundary {config.boundary!r}"
+        )
     fd = config.fd
     if densities is None:
         if fd is None or not fd.densities:

@@ -1,4 +1,4 @@
-"""Fuzzy cellular traffic model: state types and the per-step update.
+"""Fuzzy cellular traffic model: state types, reference ops and the engine.
 
 A single lane is divided into unit cells with discrete time steps.
 Every vehicle carries a fuzzy position and a fuzzy velocity; per-class
@@ -16,9 +16,10 @@ snapshot:
 4. position: dilated sum of position and new velocity, truncated at the
    configured support grade and wrapped on ring roads.
 
-:func:`step` is the optimized engine; :func:`gap`,
-:func:`update_velocity` and :func:`advance_position` are the reference
-per-vehicle operations the engine is tested against.
+:func:`gap`, :func:`update_velocity`, :func:`dilation_exponent` and
+:func:`advance_position` are the reference per-vehicle operations.  One
+dense-row engine computes the same update for a whole open or ring road:
+:func:`step` applies it once, :func:`run_ring` many times.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .fuzznum import (
     FuzzyInt,
-    _dense,
-    clamp_low,
+    _dense_rows,
+    _from_dense_rows,
     crisp,
     defuzz_argmax,
     dilate,
@@ -51,6 +51,7 @@ __all__ = [
     "update_velocity",
     "advance_position",
     "step",
+    "flow_summary",
     "cell_occupancy",
     "trajectory",
     "iter_states",
@@ -59,7 +60,6 @@ __all__ = [
 ]
 
 BOUNDARIES = ("open", "ring")
-LEADER_MODES = ("successor", "all")
 
 # Floor for the dilation exponent when alpha = 0 and the defuzzified
 # velocity is 0 would otherwise drive it to the excluded value 0.
@@ -113,10 +113,7 @@ class FcmState:
     """Immutable road snapshot at one time step.
 
     Vehicles are ordered by increasing downstream index; the index
-    successor is the leader (cyclically on a ring).  ``leader_mode``
-    "all" switches :func:`gap` to the general minimum over every other
-    vehicle instead of the index successor (slower; used for testing
-    the successor reduction).
+    successor is the leader (cyclically on a ring).
     """
 
     vehicles: tuple[FcmVehicle, ...]
@@ -125,7 +122,6 @@ class FcmState:
     alpha: float = 0.9
     epsilon: float = 0.01
     step: int = 0
-    leader_mode: str = "successor"
 
     def __post_init__(self):
         object.__setattr__(self, "vehicles", tuple(self.vehicles))
@@ -133,8 +129,6 @@ class FcmState:
             raise ValueError("road_length must be at least 1")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}")
-        if self.leader_mode not in LEADER_MODES:
-            raise ValueError(f"leader_mode must be one of {LEADER_MODES}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         if not 0.0 <= self.epsilon < 1.0:
@@ -179,52 +173,28 @@ def gap(state: FcmState, n: int) -> FuzzyInt:
     Extension-principle difference (leader position - leader length -
     own position) over support pairs where the leader value is strictly
     ahead (positive cyclic distance on a ring); negative results clamp
-    to 0 with grades merged by max.  Without any vehicle ahead the gap
-    defaults to the class maximum velocity; if a leader exists but every
-    support pair is filtered out (total overlap) the gap is {1/0}.
-
-    The ahead filter can exclude every grade-1 pair, in which case the
-    returned set is sub-normal; the update keeps propagating such sets
-    as-is.
+    to 0 with grades merged by max.  Without a leader the gap is the
+    class maximum velocity; with every pair filtered out it is {1/0}.
+    If the filter drops every grade-1 pair the gap is sub-normal, and
+    the update propagates it as-is.
     """
     veh = state.vehicles[n]
-    modulus = state.road_length if state.boundary == "ring" else None
-    if state.leader_mode == "successor":
-        li = _leader_index(state, n)
-        if li is None:
-            return veh.vclass.v_max
-        lead = state.vehicles[li]
-        term = _gap_reference(lead.position, veh.position, lead.vclass.length, modulus)
-        return term if term is not None else crisp(0)
-    terms = []
-    for m, lead in enumerate(state.vehicles):
-        if m == n:
-            continue
-        term = _gap_reference(lead.position, veh.position, lead.vclass.length, modulus)
-        if term is not None:
-            terms.append(term)
-    if not terms:
+    li = _leader_index(state, n)
+    if li is None:
         return veh.vclass.v_max
-    if len(terms) == 1:
-        return terms[0]
-    return ext_min(*terms)
-
-
-def _gap_reference(lead_pos, foll_pos, length, modulus):
-    """Plain pair-enumeration gap (readable reference for the engine kernel)."""
-    deltas = np.subtract.outer(lead_pos.values, foll_pos.values)
-    if modulus is not None:
-        deltas %= modulus
-    grades = np.minimum.outer(lead_pos.grades, foll_pos.grades)
+    lead = state.vehicles[li]
+    deltas = np.subtract.outer(lead.position.values, veh.position.values)
+    if state.boundary == "ring":
+        deltas %= state.road_length
+    grades = np.minimum.outer(lead.position.grades, veh.position.grades)
     ahead = deltas > 0
     if not ahead.any():
-        return None
+        return crisp(0)
     deltas = deltas[ahead]
     grades = grades[ahead]
     out = np.zeros(int(deltas.max()) + 1, dtype=np.float64)
-    for l, gl in length.to_pairs():
-        values = np.maximum(deltas - l, 0)
-        np.maximum.at(out, values, np.minimum(grades, gl))
+    for l, gl in lead.vclass.length.to_pairs():
+        np.maximum.at(out, np.maximum(deltas - l, 0), np.minimum(grades, gl))
     idx = np.flatnonzero(out)
     return FuzzyInt._from_arrays(idx.astype(np.int64), out[idx])
 
@@ -251,10 +221,7 @@ def _exponent(v_hat: int, vmax_hat: int, alpha: float) -> float:
 def update_velocity(state: FcmState, n: int) -> FuzzyInt:
     """New fuzzy velocity of vehicle ``n`` from the time-t snapshot."""
     veh = state.vehicles[n]
-    cls = veh.vclass
-    reachable = ext_add(veh.velocity, cls.accel)
-    v = ext_min(reachable, gap(state, n), cls.v_max)
-    return clamp_low(v, 0)
+    return ext_min(ext_add(veh.velocity, veh.vclass.accel), gap(state, n), veh.vclass.v_max)
 
 
 def advance_position(
@@ -282,427 +249,192 @@ def step(state: FcmState) -> FcmState:
     snapshot before any position moves, so per-vehicle evaluation order
     cannot influence the result.
     """
-    if not state.vehicles:
-        return replace(state, step=state.step + 1)
-    modulus = state.road_length if state.boundary == "ring" else None
-    successor_mode = state.leader_mode == "successor"
-    class_info: dict[int, tuple[int, int]] = {}  # id(class) -> (cap, vmax_hat)
-    updated = []
-    for i, veh in enumerate(state.vehicles):
-        cls = veh.vclass
-        info = class_info.get(id(cls))
-        if info is None:
-            vmax_hat = defuzz_argmax(cls.v_max)
-            if vmax_hat == 0:
-                raise DegenerateClassError("defuzzified maximum velocity is 0")
-            info = (int(cls.v_max.values[-1]), vmax_hat)
-            class_info[id(cls)] = info
-        cap, vmax_hat = info
-        if successor_mode:
-            li = _leader_index(state, i)
-            if li is None:
-                g = cls.v_max
-            else:
-                lead = state.vehicles[li]
-                g = _gap_capped(
-                    lead.position, veh.position, lead.vclass.length, cap, modulus
-                )
-                if g is None:
-                    g = crisp(0)
-        else:
-            g = gap(state, i)
-        v_new, v_hat = _velocity_engine(veh.velocity, cls.accel, g, cls.v_max)
-        e = _exponent(v_hat, vmax_hat, state.alpha)
-        p_new = _advance_engine(veh.position, v_new, e, state.epsilon, modulus)
-        updated.append(replace(veh, position=p_new, velocity=v_new))
-    return replace(state, vehicles=tuple(updated), step=state.step + 1)
-
-
-def _velocity_engine(vel, accel, g, vmax):
-    """Fused velocity rule on plain pair lists (supports here are tiny).
-
-    Identical fold order as clamp_low(ext_min(ext_add(vel, accel), g,
-    vmax), 0), so the grades match the reference ops bit for bit.
-    Returns the new velocity and its defuzzified value.
-    """
-    pairs, v_hat = _velocity_pairs(
-        vel.to_pairs(), accel.to_pairs(), g.to_pairs(), vmax.to_pairs()
-    )
-    return _pairs_to_fuzzy(pairs), v_hat
-
-
-def _advance_engine(position, velocity, e, epsilon, modulus):
-    """Fused add + dilate + truncate + wrap on one dense grid.
-
-    Same result as :func:`advance_position`, with a single sparse
-    conversion at the end instead of one per stage.
-    """
-    if (
-        position.values.size == 1
-        and velocity.values.size == 1
-        and position.grades[0] == 1.0
-        and velocity.grades[0] == 1.0
-    ):
-        z = int(position.values[0]) + int(velocity.values[0])
-        if modulus is not None:
-            z %= modulus
-        return crisp(z)
-    lo_p, dp = _dense(position)
-    v_lo = int(velocity.values[0])
-    v_hi = int(velocity.values[-1])
-    lo = lo_p + v_lo
-    out = np.zeros(dp.size + (v_hi - v_lo), dtype=np.float64)
-    rows = np.minimum.outer(velocity.grades, dp)
-    for k, v in enumerate(velocity.values.tolist()):
-        seg = out[v - v_lo : v - v_lo + dp.size]
-        np.maximum(seg, rows[k], out=seg)
-    if e != 1.0:
-        out **= e  # zeros stay zero, so the grid survives dilation
-    if epsilon > 0.0:
-        out[out < min(epsilon, float(out.max()))] = 0.0
-    if modulus is not None and lo + out.size > modulus:
-        ring = np.zeros(modulus, dtype=np.float64)
-        offset = lo % modulus
-        start = 0
-        while start < out.size:  # fold grid chunks around the seam
-            chunk = min(out.size - start, modulus - offset)
-            seg = ring[offset : offset + chunk]
-            np.maximum(seg, out[start : start + chunk], out=seg)
-            start += chunk
-            offset = 0
-        return _sparse_from_dense(0, ring)
-    return _sparse_from_dense(lo, out)
-
-
-def _sparse_from_dense(lo, arr):
-    idx = np.flatnonzero(arr)
-    return FuzzyInt._from_arrays(idx + lo, arr[idx])
-
-
-def _gap_capped(lead_pos, foll_pos, length, cap, modulus):
-    """Gap with values above ``cap`` merged into ``cap`` (grade max).
-
-    Feeding the velocity minimum a gap capped at the largest support
-    value of the class maximum yields exactly the same velocity as the
-    uncapped gap, because the minimum can never output a value above
-    that cap and grades at or below it only depend on suffix maxima,
-    which capping preserves.  This bounds the work per vehicle by the
-    road length instead of the support product.
-    """
-    if (
-        lead_pos.values.size == 1
-        and foll_pos.values.size == 1
-        and length.values.size == 1
-        and lead_pos.grades[0] == 1.0
-        and foll_pos.grades[0] == 1.0
-        and length.grades[0] == 1.0
-    ):
-        delta = int(lead_pos.values[0]) - int(foll_pos.values[0])
-        if modulus is not None:
-            delta %= modulus
-        if delta <= 0:
-            return None
-        return crisp(min(max(delta - int(length.values[0]), 0), cap))
-    if modulus is None:
-        return _gap_capped_open(lead_pos, foll_pos, length, cap)
-    return _gap_capped_ring(lead_pos, foll_pos, length, cap, modulus)
-
-
-def _gap_capped_open(lead_pos, foll_pos, length, cap):
-    lo_l, dl = _dense(lead_pos)
-    lo_f, df = _dense(foll_pos)
-    hi_l = lo_l + dl.size - 1
-    if hi_l <= lo_f:  # no support pair with the leader strictly ahead
-        return None
-    nb = df.size
-    suffix = np.maximum.accumulate(dl[::-1])[::-1]
-    out = np.zeros(cap + 1, dtype=np.float64)
-    for l, gl in length.to_pairs():
-        d0 = cap + l  # distances >= d0 all land in the cap bucket
-        nd = d0 - 1
-        if nd > 0:
-            # pa[k] = leader grade at cell (lo_f + 1 + k); row r of the
-            # sliding view is then the leader grades one diagonal
-            # (distance r + 1) ahead of the follower grid.
-            pa = np.zeros(nb + nd - 1, dtype=np.float64)
-            k0 = max(lo_l - lo_f - 1, 0)
-            k1 = min(hi_l - lo_f - 1, pa.size - 1)
-            if k0 <= k1:
-                s0 = k0 - (lo_l - lo_f - 1)
-                pa[k0 : k1 + 1] = dl[s0 : s0 + (k1 - k0 + 1)]
-            rows = sliding_window_view(pa, nb)[:nd]
-            diag = np.minimum(df, rows).max(axis=1)
-            for r, gd in enumerate(diag.tolist()):
-                if gd <= 0.0:
-                    continue
-                z = max(r + 1 - l, 0)
-                g = gd if gd < gl else gl
-                if g > out[z]:
-                    out[z] = g
-        # tail: every pair at distance >= d0 contributes to the cap value
-        j = (lo_f + d0 - lo_l) + np.arange(nb)
-        inside = j < dl.size
-        ps = np.where(inside, suffix[np.clip(j, 0, dl.size - 1)], 0.0)
-        tail = float(np.minimum(df, ps).max())
-        g = tail if tail < gl else gl
-        if g > out[cap]:
-            out[cap] = g
-    idx = np.flatnonzero(out)
-    if idx.size == 0:
-        return None
-    return FuzzyInt._from_arrays(idx.astype(np.int64), out[idx])
-
-
-# rotation index grids for the ring kernel, keyed by (diagonals, ring length)
-_RING_IDX_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _gap_capped_ring(lead_pos, foll_pos, length, cap, ring_length):
-    a = np.zeros(ring_length, dtype=np.float64)
-    a[lead_pos.values] = lead_pos.grades
-    b = np.zeros(ring_length, dtype=np.float64)
-    b[foll_pos.values] = foll_pos.grades
-    ext = np.concatenate([a, a])
-    # cyclic distance between the defuzzified cells; when it clears the
-    # cap region the grade-1 pair lands in the cap bucket directly
-    core_delta = (defuzz_argmax(lead_pos) - defuzz_argmax(foll_pos)) % ring_length
-    cores_normal = lead_pos.grades.max() == 1.0 and foll_pos.grades.max() == 1.0
-    out = np.zeros(cap + 1, dtype=np.float64)
-    for l, gl in length.to_pairs():
-        d0 = cap + l
-        nd = min(d0 - 1, ring_length - 1)
-        if nd > 0:
-            key = (nd, ring_length)
-            idx = _RING_IDX_CACHE.get(key)
-            if idx is None:
-                idx = np.arange(1, nd + 1)[:, None] + np.arange(ring_length)[None, :]
-                _RING_IDX_CACHE[key] = idx
-            diag = np.minimum(b, ext[idx]).max(axis=1)
-            for r, gd in enumerate(diag.tolist()):
-                if gd <= 0.0:
-                    continue
-                z = max(r + 1 - l, 0)
-                g = gd if gd < gl else gl
-                if g > out[z]:
-                    out[z] = g
-        if d0 <= ring_length - 1:
-            if cores_normal and core_delta >= d0:
-                tail = 1.0
-            else:
-                tail = _ring_tail(ext, b, d0, ring_length)
-            g = tail if tail < gl else gl
-            if g > out[cap]:
-                out[cap] = g
-    idx = np.flatnonzero(out)
-    if idx.size == 0:
-        return None
-    return FuzzyInt._from_arrays(idx.astype(np.int64), out[idx])
-
-
-def _ring_tail(ext, b, d0, ring_length):
-    """max over follower cell x and leader cell at cyclic distance >= d0."""
-    window = ring_length - d0
-    # running window maximum by doubling: after the loop m[j] holds
-    # max(ext[j : j + w]); one final shifted merge reaches width `window`
-    m = ext
-    w = 1
-    while w * 2 <= window:
-        m = np.maximum(m[: m.size - w], m[w:])
-        w *= 2
-    if w < window:
-        sh = window - w
-        m = np.maximum(m[: m.size - sh], m[sh:])
-    return float(np.minimum(b, m[d0 : d0 + ring_length]).max())
-
-
-# ---------------------------------------------------------------------------
-# batched ring runner
-
-# The density sweep advances a uniform fleet on a ring for hundreds of
-# steps; doing that vehicle by vehicle leaves most of the time in python
-# call overhead.  This runner keeps every position as one row of a dense
-# (vehicles x cells) grade matrix and applies the identical update
-# formulas across all rows at once.  Results match :func:`step` bit for
-# bit (asserted by the test suite); states that don't fit the batched
-# preconditions fall back to the generic engine.
+    return _advance(state, 1, None)[0]
 
 
 def run_ring(state: FcmState, steps: int, theta: float | None = None):
-    """Advance ``steps`` updates, recording per-step velocity summaries.
+    """Advance ``steps`` updates on either boundary: ``(final_state, flows)``.
 
-    Returns ``(final_state, flows)`` where ``flows[t]`` is the tuple
-    (sum of defuzzified velocities, sum of cut lower bounds, sum of cut
-    upper bounds) over all vehicles after update t, using threshold
-    ``theta`` for the cuts.  ``flows`` is None when ``theta`` is None.
+    ``flows[t]`` is the :func:`flow_summary` after update t; ``flows`` is
+    None when ``theta`` is None.
     """
-    cls = state.vehicles[0].vclass if state.vehicles else None
-    batchable = (
-        state.boundary == "ring"
-        and state.leader_mode == "successor"
-        and len(state.vehicles) >= 2
-        and all(v.vclass is cls for v in state.vehicles)
-        and int(cls.v_max.values[-1]) < state.road_length
-        and int(cls.length.values[-1]) + int(cls.v_max.values[-1]) < state.road_length
-    )
-    if not batchable:
-        flows = [] if theta is not None else None
-        for _ in range(steps):
-            state = step(state)
-            if theta is not None:
-                flows.append(_flow_summary(state.vehicles, theta))
-        return state, flows
-    return _run_ring_batched(state, steps, theta)
+    return _advance(state, steps, theta)
 
 
-def _flow_summary(vehicles, theta):
-    s_hat = s_lo = s_hi = 0
-    for veh in vehicles:
-        pairs = veh.velocity.to_pairs()
-        s_hat += _pairs_argmax(pairs)
-        lo, hi = _pairs_cut(pairs, theta)
-        s_lo += lo
-        s_hi += hi
-    return (s_hat, s_lo, s_hi)
+def flow_summary(state: FcmState, theta: float) -> tuple[int, int, int]:
+    """Sums over the vehicles of the defuzzified velocity and of the
+    bounds of its ``theta``-cut, ``theta`` in (0, 1]; a sub-normal
+    velocity below ``theta`` is cut at its maximal grade."""
+    if not state.vehicles:
+        return (0, 0, 0)
+    return _flow_rows(_dense_rows([veh.velocity for veh in state.vehicles]), theta)
 
 
-def _pairs_argmax(pairs):
-    best = -1.0
-    arg = pairs[0][0]
-    for z, q in pairs:
-        if q > best:
-            best = q
-            arg = z
-    return arg
+def _flow_rows(vel, theta):
+    if not 0.0 < theta <= 1.0:
+        raise ValueError(f"flow cut threshold {theta!r} not in (0, 1]")
+    cut = vel >= np.minimum(theta, vel.max(axis=1, keepdims=True))
+    hi = cut.shape[1] - 1 - cut[:, ::-1].argmax(axis=1)
+    return int(vel.argmax(axis=1).sum()), int(cut.argmax(axis=1).sum()), int(hi.sum())
 
 
-def _pairs_cut(pairs, theta):
-    cut = [z for z, q in pairs if q >= theta]
-    if not cut:  # sub-normal velocity: fall back to its maximal grade
-        top = max(q for _, q in pairs)
-        cut = [z for z, q in pairs if q == top]
-    return cut[0], cut[-1]
+# The last state returned, with its fleet tables and rows: trajectories
+# step it next, and rebuilding costs as much as a small update.  States
+# are immutable, and holding this one keeps the ``is`` test exact.
+_last: tuple = (None, None, None)
 
 
-def _run_ring_batched(state, steps, theta):
-    n = len(state.vehicles)
-    road = state.road_length
-    cls = state.vehicles[0].vclass
-    cap = int(cls.v_max.values[-1])
-    vmax_hat = defuzz_argmax(cls.v_max)
-    if vmax_hat == 0:
-        raise DegenerateClassError("defuzzified maximum velocity is 0")
-    length_pairs = cls.length.to_pairs()
-    accel_pairs = cls.accel.to_pairs()
-    vmax_pairs = cls.v_max.to_pairs()
-    alpha = state.alpha
-    epsilon = state.epsilon
-
-    pos = np.zeros((n, road), dtype=np.float64)
-    for i, veh in enumerate(state.vehicles):
-        pos[i, veh.position.values] = veh.position.grades
-    vel_pairs = [veh.velocity.to_pairs() for veh in state.vehicles]
-    flows = [] if theta is not None else None
-    exponents = np.empty((n, 1), dtype=np.float64)
+def _advance(state, steps, theta):
+    global _last
+    flows = None if theta is None else []
+    if not state.vehicles:
+        flows = flows if flows is None else [(0, 0, 0)] * steps
+        return replace(state, step=state.step + steps), flows
+    last, fleet, rows = _last
+    if state is not last:
+        fleet = _Fleet(state)
+        positions = [veh.position for veh in state.vehicles]
+        origin = 0 if fleet.ring else min(int(p.values[0]) for p in positions)
+        pos = _dense_rows(positions, origin, state.road_length if fleet.ring else None)
+        vel = _dense_rows([veh.velocity for veh in state.vehicles], 0, fleet.cap + 1)
+        rows = (pos, origin, vel)
     for _ in range(steps):
-        lead = np.roll(pos, -1, axis=0)
-        ext = np.concatenate([lead, lead], axis=1)
-        gaps = np.zeros((n, cap + 1), dtype=np.float64)
-        for l, gl in length_pairs:
-            d0 = cap + l
-            nd = min(d0 - 1, road - 1)
-            for d in range(1, nd + 1):
-                diag = np.minimum(pos, ext[:, d : d + road]).max(axis=1)
-                z = d - l if d > l else 0
-                np.maximum(gaps[:, z], np.minimum(diag, gl), out=gaps[:, z])
-            if d0 <= road - 1:
-                tail = np.minimum(pos, _window_max(ext, road - d0)[:, d0 : d0 + road])
-                np.maximum(gaps[:, cap], np.minimum(tail.max(axis=1), gl), out=gaps[:, cap])
-        vel_dense = np.zeros((n, cap + 1), dtype=np.float64)
-        s_hat = s_lo = s_hi = 0
-        for i in range(n):
-            row = [(z, q) for z, q in enumerate(gaps[i].tolist()) if q > 0.0]
-            gap_pairs = row if row else [(0, 1.0)]
-            pairs, v_hat = _velocity_pairs(vel_pairs[i], accel_pairs, gap_pairs, vmax_pairs)
-            vel_pairs[i] = pairs
-            exponents[i, 0] = _exponent(v_hat, vmax_hat, alpha)
-            for z, q in pairs:
-                vel_dense[i, z] = q
-            if theta is not None:
-                s_hat += v_hat
-                lo, hi = _pairs_cut(pairs, theta)
-                s_lo += lo
-                s_hi += hi
-        if theta is not None:
-            flows.append((s_hat, s_lo, s_hi))
-        moved = np.zeros((n, road + cap), dtype=np.float64)
-        for v in range(cap + 1):
-            col = vel_dense[:, v : v + 1]
-            if col.any():
-                seg = moved[:, v : v + road]
-                np.maximum(seg, np.minimum(pos, col), out=seg)
-        if (exponents != 1.0).any():
-            moved = np.power(moved, exponents)
-        if epsilon > 0.0:
-            thr = np.minimum(epsilon, moved.max(axis=1, keepdims=True))
-            moved[moved < thr] = 0.0
-        pos = moved[:, :road]
-        overflow = moved[:, road:]
-        np.maximum(pos[:, : overflow.shape[1]], overflow, out=pos[:, : overflow.shape[1]])
+        rows = _update(fleet, *rows)
+        if flows is not None:
+            flows.append(_flow_rows(rows[2], theta))
+    pos, origin, vel = rows
+    updated = zip(state.vehicles, _from_dense_rows(origin, pos), _from_dense_rows(0, vel))
+    vehicles = tuple(FcmVehicle(veh.index, veh.vclass, p, v) for veh, p, v in updated)
+    out = replace(state, vehicles=vehicles, step=state.step + steps)
+    _last = (out, fleet, rows)
+    return out, flows
 
-    vehicles = tuple(
-        replace(
-            veh,
-            position=_sparse_from_dense(0, pos[i]),
-            velocity=_pairs_to_fuzzy(vel_pairs[i]),
-        )
-        for i, veh in enumerate(state.vehicles)
-    )
-    return replace(state, vehicles=vehicles, step=state.step + steps), flows
+
+class _Fleet:
+    """Per-row constants: leaders and tables built per class, indexed by row.
+
+    ``cap`` is the largest v_max support value in the fleet; ``length`` and
+    ``buckets`` hold, per leader length in use, its grade and gap columns.
+    """
+
+    def __init__(self, state):
+        by_id = {id(veh.vclass): veh.vclass for veh in state.vehicles}
+        classes = list(by_id.values())
+        kind = np.array([list(by_id).index(id(veh.vclass)) for veh in state.vehicles])
+        leaders = [_leader_index(state, i) for i in range(len(state.vehicles))]
+        self.leader = np.array([-1 if j is None else j for j in leaders])
+        self.free = self.leader < 0
+        self.ring = state.boundary == "ring"
+        self.alpha, self.epsilon = state.alpha, state.epsilon
+        self.cap = max(int(c.v_max.values[-1]) for c in classes)
+        self.vmax = _dense_rows([c.v_max for c in classes])[kind]
+        self.vmax_hat = self.vmax.argmax(axis=1).tolist()  # defuzz_argmax of each row
+        if 0 in self.vmax_hat:
+            raise DegenerateClassError("defuzzified maximum velocity is 0")
+        self.vmax_tail = _suffix_max(self.vmax)
+        self.accel = _dense_rows([c.accel for c in classes])[kind]
+        length = _dense_rows([c.length for c in classes])[kind[self.leader]]
+        length[self.free] = 0.0
+        used = length.any(axis=0).nonzero()[0]
+        self.length = length[:, used, None]
+        self.reach = self.cap + length.shape[1] - 1  # first distance past every length
+        span = self.reach + 1
+        bucket = np.array([0, *range(span + 1, span + self.cap), 2 * span + self.cap])
+        self.buckets = used[:, None] + bucket
+
+
+def _update(fleet, pos, origin, vel):
+    """One parallel update of the dense rows; returns (pos, origin, vel).
+
+    ``pos`` column c is cell origin + c (origin 0 on a ring), ``vel``
+    column v velocity v.  Gap: ``diag[:, d]`` is the max-min grade of the
+    pairs at distance d from a row to its leader's row, which is extended
+    with zeros on an open road and with itself on a ring; the last column
+    takes all distances from ``reach`` on, by a running window maximum.
+    For leader length l, distances up to l give gap 0 (prefix maximum),
+    those from cap + l give cap (suffix maximum).  The cap is exact: the
+    velocity minimum never exceeds the row's own v_max <= cap, and its
+    grades below depend only on suffix maxima of the gap, which merging
+    into cap keeps.  Velocity: shifted copies for ``+ accel``, the
+    suffix-max formula of ``fuzznum._ext_min2`` for each minimum.
+    Position: the same shift sum, per-row dilation, truncation; a ring
+    folds the overflow modulo its length, an open road trims zero
+    columns and moves its origin.  Max and min only pick grades, so
+    this equals the reference ops bit for bit.
+    """
+    n, width = pos.shape
+    reach = fleet.reach
+    lead = pos[fleet.leader]
+    ext = np.concatenate([lead, lead if fleet.ring else np.zeros_like(lead)], axis=1)
+    pairs = np.zeros((n, reach + 1, width), dtype=np.float64)  # by distance
+    for d in range(1, min(reach, width)):
+        np.minimum(pos, ext[:, d : d + width], out=pairs[:, d])
+    if reach < width:
+        far = _window_max(ext, width - reach)[:, reach : reach + width]
+        np.minimum(pos, far, out=pairs[:, reach])
+    diag = pairs.max(axis=2)
+    near_far = [np.maximum.accumulate(diag, axis=1), diag, _suffix_max(diag)]
+    by_length = np.minimum(np.concatenate(near_far, axis=1)[:, fleet.buckets], fleet.length)
+    gap = by_length.max(axis=1, initial=0.0)
+    gap[:, 0] += ~gap.any(axis=1)  # a leader never ahead leaves {1/0}
+    gap[fleet.free] = fleet.vmax[fleet.free]  # no leader: the gap is v_max
+
+    reachable = _add_rows(vel, fleet.accel)
+    vel = _min_rows(_min_rows(reachable, gap, _suffix_max(gap)), fleet.vmax, fleet.vmax_tail)
+
+    v_hat = vel.argmax(axis=1).tolist()
+    exponents = [_exponent(v, m, fleet.alpha) for v, m in zip(v_hat, fleet.vmax_hat)]
+    moved = _add_rows(pos, vel)
+    for e in set(exponents) - {1.0}:
+        # scalar, as in dilate: x ** 0.5 is then a sqrt, not pow's last bit
+        rows = np.array(exponents) == e
+        moved[rows] = np.power(moved[rows], e)
+    if fleet.epsilon > 0.0:
+        np.putmask(moved, moved < np.minimum(fleet.epsilon, moved.max(axis=1, keepdims=True)), 0.0)
+    if fleet.ring:
+        pos = moved[:, :width]
+        for start in range(width, width + fleet.cap, width):
+            chunk = moved[:, start : start + width]
+            np.maximum(pos[:, : chunk.shape[1]], chunk, out=pos[:, : chunk.shape[1]])
+    else:
+        cells = moved.any(axis=0).nonzero()[0]
+        origin += int(cells[0])
+        pos = moved[:, cells[0] : cells[-1] + 1]
+    return pos, origin, vel
+
+
+def _add_rows(a, b):
+    """Row-wise ext_add of rows from value 0: max of a shifted by b's values.
+
+    Row k of ``cols`` holds min(a, b[:, k]) and zero padding; read back
+    in rows one column shorter, row k moves k columns right.
+    """
+    n, wa = a.shape
+    wb = b.shape[1]
+    cols = np.zeros((n, wb, wa + wb), dtype=np.float64)
+    np.minimum(a[:, None, :], b[:, :, None], out=cols[:, :, :wa])
+    skewed = cols.reshape(n, -1)[:, : wb * (wa + wb - 1)].reshape(n, wb, wa + wb - 1)
+    return skewed.max(axis=1)
+
+
+def _min_rows(a, b, b_tail):
+    """Row-wise ext_min of rows from value 0; ``b_tail`` is b's suffix max."""
+    k = b.shape[1]
+    return np.maximum(np.minimum(a[:, :k], b_tail), np.minimum(b, _suffix_max(a)[:, :k]))
+
+
+def _suffix_max(rows):
+    return np.maximum.accumulate(rows[:, ::-1], axis=1)[:, ::-1]
 
 
 def _window_max(ext, window):
     """Row-wise running maximum over a ``window``-wide sliding range."""
-    m = ext
-    w = 1
-    while w * 2 <= window:
-        m = np.maximum(m[:, : m.shape[1] - w], m[:, w:])
-        w *= 2
-    if w < window:
-        shift = window - w
+    m, w = ext, 1
+    while w < window:  # m[:, j] = max(ext[:, j : j + w]); w doubles, then tops up
+        shift = min(w, window - w)
         m = np.maximum(m[:, : m.shape[1] - shift], m[:, shift:])
+        w += shift
     return m
-
-
-def _pairs_to_fuzzy(pairs):
-    values = np.array([z for z, _ in pairs], dtype=np.int64)
-    grades = np.array([q for _, q in pairs], dtype=np.float64)
-    return FuzzyInt._from_arrays(values, grades)
-
-
-def _velocity_pairs(vel_pairs, accel_pairs, gap_pairs, vmax_pairs):
-    """Pair-list version of :func:`_velocity_engine` (same fold order)."""
-    acc: dict[int, float] = {}
-    for x, gx in vel_pairs:
-        for y, gy in accel_pairs:
-            z = x + y
-            q = gx if gx < gy else gy
-            if q > acc.get(z, 0.0):
-                acc[z] = q
-    for operand in (gap_pairs, vmax_pairs):
-        nxt: dict[int, float] = {}
-        for x, gx in acc.items():
-            for y, gy in operand:
-                z = x if x < y else y
-                q = gx if gx < gy else gy
-                if q > nxt.get(z, 0.0):
-                    nxt[z] = q
-        acc = nxt
-    if min(acc) < 0:
-        merged = max(q for z, q in acc.items() if z <= 0)
-        acc = {z: q for z, q in acc.items() if z > 0}
-        acc[0] = merged
-    pairs = sorted(acc.items())
-    return pairs, _pairs_argmax(pairs)
 
 
 # ---------------------------------------------------------------------------

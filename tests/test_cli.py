@@ -2,6 +2,7 @@
 
 import pytest
 
+from fuzzycell import model
 from fuzzycell.cli import build_parser, main
 
 SMALL_SCENARIO = """
@@ -76,6 +77,27 @@ def test_run_writes_declared_outputs(small_scenario, tmp_path, capsys):
     assert (out / "small.pgm").read_bytes().startswith(b"P5\n60 9\n255\n")
     header = (out / "small_queue.csv").read_text().splitlines()[0]
     assert header == "step,length,grade"
+
+
+def test_run_simulates_trajectory_once(small_scenario, tmp_path, monkeypatch):
+    # the scenario declares a queue and a spacetime output; both read one
+    # simulated trajectory
+    calls = []
+    trajectory = model.trajectory
+
+    def counted(state, steps):
+        calls.append(steps)
+        return trajectory(state, steps)
+
+    monkeypatch.setattr(model, "trajectory", counted)
+    assert main(["run", str(small_scenario), "--out-dir", str(tmp_path)]) == 0
+    assert calls == [8]
+
+
+def test_fundamental_diagram_on_open_road_exits_1(tmp_path, capsys):
+    code = main(["fundamental-diagram", "queue50", "--densities", "0.1", "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "ring" in capsys.readouterr().err
 
 
 def test_run_without_outputs_fails(tmp_path, capsys):

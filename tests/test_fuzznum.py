@@ -16,7 +16,6 @@ from fuzzycell import (
     FuzzyInt,
     NotNormalError,
     alpha_cut,
-    clamp_low,
     crisp,
     defuzz_argmax,
     dilate,
@@ -28,6 +27,7 @@ from fuzzycell import (
     truncate,
     wrap_mod,
 )
+from fuzzycell.fuzznum import _from_dense_rows
 
 from conftest import fuzzy_ints
 
@@ -81,6 +81,13 @@ def test_values_are_read_only():
     f = fz((1, 1.0), (2, 0.5))
     with pytest.raises(ValueError):
         f.values[0] = 7
+    # sets split from one dense grid share its arrays, read-only too
+    rows = _from_dense_rows(3, np.array([[0.0, 1.0, 0.4], [1.0, 0.0, 0.0]]))
+    assert [r.to_pairs() for r in rows] == [[(4, 1.0), (5, 0.4)], [(3, 1.0)]]
+    for r in rows:
+        for arr in (r.values, r.grades):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 def test_grade_lookup():
@@ -207,12 +214,6 @@ def test_truncate():
     assert truncate(crisp(3), 0.5) == crisp(3)
     with pytest.raises(ValueError):
         truncate(f, 1.0)
-
-
-def test_clamp_low():
-    f = fz((-3, 0.5), (-1, 0.2), (0, 0.3), (2, 1.0))
-    assert clamp_low(f, 0).to_pairs() == [(0, 0.5), (2, 1.0)]
-    assert clamp_low(crisp(4), 0) == crisp(4)
 
 
 def test_wrap_mod():

@@ -20,6 +20,8 @@ from fuzzycell import (
     trajectory,
 )
 from fuzzycell import nasch
+from fuzzycell.model import run_ring
+from fuzzycell.simio import ScenarioValidationError
 from fuzzycell.metrics import (
     FdPoint,
     InsufficientStepsError,
@@ -51,6 +53,7 @@ class SweepConfig:
     classes: tuple
     nasch: object = None
     fd: object = None
+    boundary: str = "ring"
 
 
 @dataclass(frozen=True)
@@ -164,6 +167,15 @@ def test_step_flow_jam_is_zero():
     assert step_flow(st) == (0.0, 0.0, 0.0)
 
 
+def test_flow_cut_threshold_must_lie_in_unit_interval(queue_class):
+    st = step(stopped_queue(queue_class, 3, 50))
+    for theta in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError):
+            step_flow(st, theta)
+        with pytest.raises(ValueError):
+            run_ring(st, 2, theta)
+
+
 def test_fuzzy_flow_requires_enough_steps(queue_class):
     states = trajectory(stopped_queue(queue_class, 3, 50), 5)
     with pytest.raises(InsufficientStepsError):
@@ -234,6 +246,13 @@ def test_sweep_rejects_bad_density():
         sweep_fundamental_diagram(cfg, densities=[0.001], warmup=5, window=10)
     with pytest.raises(ValueError):
         sweep_fundamental_diagram(replace(cfg, fd=None))
+
+
+def test_sweep_rejects_open_road():
+    for model in ("fcm", "nasch"):
+        cfg = SweepConfig(model, 40, 0.9, 0.01, (ring_class(),), NaschCfg(), FdCfg())
+        with pytest.raises(ScenarioValidationError, match="ring"):
+            sweep_fundamental_diagram(replace(cfg, boundary="open"), densities=[0.1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Fuzzy traffic model: state invariants, update rules, engine equivalence."""
 
 import math
-from dataclasses import replace
 
+import hypothesis.strategies as hs
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from fuzzycell import model
 from fuzzycell import (
     DegenerateClassError,
     FcmState,
@@ -18,6 +20,7 @@ from fuzzycell import (
     defuzz_argmax,
     dilation_exponent,
     ext_add,
+    ext_min,
     gap,
     make_fuzzy,
     ring_state,
@@ -26,7 +29,7 @@ from fuzzycell import (
     trajectory,
     update_velocity,
 )
-from fuzzycell.model import _gap_capped, iter_states, run_ring
+from fuzzycell.model import flow_summary, iter_states, run_ring
 
 
 def fz(*pairs):
@@ -140,17 +143,39 @@ def test_gap_ring_wraps():
     assert gap(st, 1) == crisp(3)  # (2 - 8) mod 10 - 1
 
 
+def gap_to_all(state, n):
+    """Oracle: minimum of the gaps to every other vehicle with a cell ahead.
+
+    The general form of the gap; the model takes only the index successor.
+    Vehicles with no support cell ahead of vehicle n add no term, and
+    without any term the gap is the class maximum velocity.
+    """
+    veh = state.vehicles[n]
+    terms = []
+    for m, other in enumerate(state.vehicles):
+        if m == n:
+            continue
+        deltas = np.subtract.outer(other.position.values, veh.position.values)
+        if state.boundary == "ring":
+            deltas %= state.road_length
+        if (deltas > 0).any():
+            pair = FcmState((veh, other), state.road_length, state.boundary, step=1)
+            terms.append(gap(pair, 0))
+    if not terms:
+        return veh.vclass.v_max
+    return terms[0] if len(terms) == 1 else ext_min(*terms)
+
+
 def test_gap_all_mode_matches_successor_on_spread_fleet(queue_class):
     st = stopped_queue(queue_class, 8, 100)
-    st_all = replace(st, leader_mode="all")
     for n in range(8):
-        assert gap(st, n) == gap(st_all, n)
+        assert gap(st, n) == gap_to_all(st, n)
 
 
 def test_gap_all_mode_without_candidates_returns_v_max(paper_single_class):
     vehicles = (FcmVehicle(0, paper_single_class, crisp(3), crisp(0)),)
-    st = FcmState(vehicles, 20, "open", leader_mode="all")
-    assert gap(st, 0) == paper_single_class.v_max
+    st = FcmState(vehicles, 20, "open")
+    assert gap_to_all(st, 0) == paper_single_class.v_max
 
 
 # ---------------------------------------------------------------------------
@@ -296,22 +321,23 @@ def test_step_equals_composed_reference_ops(boundary):
 
 
 def test_capped_gap_preserves_velocity(queue_class):
-    # the engine feeds the velocity minimum a gap capped at the class's
-    # largest possible speed; that must never change the velocity
-    rng = np.random.default_rng(5)
-    st = stopped_queue(queue_class, 12, 400)
+    # the engine caps every gap at the largest v_max support value of the
+    # fleet, above the slow class's own maximum here; the velocities must
+    # equal those the reference rule derives from the uncapped gap
+    slow = VehicleClass("slow", crisp(1), fz((1, 0.4), (2, 1.0)), queue_class.accel)
+    st = FcmState(
+        tuple(
+            FcmVehicle(i, queue_class if i % 2 else slow, crisp(3 * i), crisp(0))
+            for i in range(12)
+        ),
+        400,
+        "open",
+    )
     for _ in range(60):
-        st = step(st)
-    cap = int(queue_class.v_max.values[-1])
-    for i in range(11):
-        lead = st.vehicles[i + 1]
-        full = gap(st, i)
-        capped = _gap_capped(lead.position, st.vehicles[i].position, lead.vclass.length, cap, None)
-        from fuzzycell import clamp_low, ext_min
-
-        v_full = clamp_low(ext_min(ext_add(st.vehicles[i].velocity, queue_class.accel), full, queue_class.v_max), 0)
-        v_capped = clamp_low(ext_min(ext_add(st.vehicles[i].velocity, queue_class.accel), capped, queue_class.v_max), 0)
-        assert v_full == v_capped
+        nxt = step(st)
+        for i in range(12):
+            assert nxt.vehicles[i].velocity == update_velocity(st, i)
+        st = nxt
 
 
 def test_run_ring_batched_matches_generic(queue_class):
@@ -335,7 +361,7 @@ def test_run_ring_batched_matches_generic(queue_class):
             assert flows == series
 
 
-def test_run_ring_falls_back_for_open_roads(queue_class):
+def test_run_ring_matches_step_on_open_roads(queue_class):
     st = stopped_queue(queue_class, 4, 60)
     final, flows = run_ring(st, 5, theta=0.99)
     reference = st
@@ -344,6 +370,119 @@ def test_run_ring_falls_back_for_open_roads(queue_class):
     for a, b in zip(final.vehicles, reference.vehicles):
         assert a.position == b.position and a.velocity == b.velocity
     assert len(flows) == 5
+
+
+def test_step_of_an_earlier_state_is_unchanged(queue_class):
+    # the engine keeps the dense rows of the state it returned last; an
+    # earlier state, or one stepped elsewhere in between, must not see them
+    first = stopped_queue(queue_class, 5, 80)
+    second = step(first)
+    third = step(second)
+    step(ring_state(queue_class, 30, 4))
+    assert step(second) == third
+    assert step(first) == second
+
+
+def test_run_ring_never_calls_step(monkeypatch, queue_class):
+    def forbidden(state):
+        raise AssertionError("run_ring went through model.step")
+
+    monkeypatch.setattr(model, "step", forbidden)
+    for st in (ring_state(queue_class, 30, 6), stopped_queue(queue_class, 4, 60)):
+        final, flows = run_ring(st, 5, theta=0.99)
+        assert final.step == 5 and len(flows) == 5
+
+
+# ---------------------------------------------------------------------------
+# differential properties: the engine against the reference operations
+
+
+@hs.composite
+def _fuzzy_around(draw, core, low, high, modulus=None):
+    """A normal fuzzy set with grade 1 at ``core`` only, values in [low, high]."""
+    support = {core: 1.0}
+    for offset in draw(hs.lists(hs.integers(-2, 2), max_size=3)):
+        value = core + offset
+        if modulus is not None:
+            value %= modulus
+        if low <= value <= high and value not in support:
+            support[value] = draw(hs.floats(0.05, 0.99))
+    return make_fuzzy(sorted(support.items()))
+
+
+@hs.composite
+def _vehicle_classes(draw):
+    def param(low, high):
+        core = draw(hs.integers(low, high))
+        return draw(_fuzzy_around(core, low, high))
+
+    return VehicleClass("c", param(0, 3), param(1, 6), param(0, 3))
+
+
+@hs.composite
+def fleets(draw):
+    """Valid step-0 states: 1-10 vehicles of up to 3 classes, fuzzy
+    positions and velocities, open or ring roads (short rings included,
+    where the largest speed plus length reaches around the ring)."""
+    boundary = draw(hs.sampled_from(["open", "ring"]))
+    count = draw(hs.integers(1, 10))
+    road = draw(hs.integers(count, 30))
+    classes = draw(hs.lists(_vehicle_classes(), min_size=1, max_size=3))
+    cores = sorted(draw(hs.sets(hs.integers(0, road - 1), min_size=count, max_size=count)))
+    modulus = road if boundary == "ring" else None
+    vehicles = []
+    for i, core in enumerate(cores):
+        vclass = draw(hs.sampled_from(classes))
+        top = int(vclass.v_max.values[-1])
+        position = draw(_fuzzy_around(core, 0, road - 1 if modulus else road + 2, modulus))
+        velocity = draw(_fuzzy_around(draw(hs.integers(0, top)), 0, top))
+        vehicles.append(FcmVehicle(i, vclass, position, velocity))
+    alpha = draw(hs.floats(0.0, 1.0))
+    epsilon = draw(hs.floats(0.0, 0.5, exclude_max=True))
+    return FcmState(tuple(vehicles), road, boundary, alpha, epsilon)
+
+
+def velocity_sums(state, theta):
+    """Oracle for flow summaries: sums of defuzzified values and cut bounds,
+    a sub-normal velocity cut at its maximal grade."""
+    s_hat = s_lo = s_hi = 0
+    for veh in state.vehicles:
+        v = veh.velocity
+        lo, hi = alpha_cut(v, min(theta, float(v.grades.max())))
+        s_hat += defuzz_argmax(v)
+        s_lo += lo
+        s_hi += hi
+    return s_hat, s_lo, s_hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(fleets())
+def test_engine_step_matches_composed_reference_ops(st):
+    nxt = step(st)
+    modulus = st.road_length if st.boundary == "ring" else None
+    for i, veh in enumerate(st.vehicles):
+        v_ref = update_velocity(st, i)
+        e_ref = dilation_exponent(v_ref, veh.vclass.v_max, st.alpha)
+        p_ref = advance_position(veh.position, v_ref, e_ref, st.epsilon, modulus)
+        assert nxt.vehicles[i].velocity == v_ref
+        assert nxt.vehicles[i].position == p_ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(fleets(), hs.integers(1, 12), hs.floats(0.05, 1.0))
+def test_run_ring_matches_repeated_step(st, steps, theta):
+    final, flows = run_ring(st, steps, theta)
+    reference = st
+    expected = []
+    for _ in range(steps):
+        reference = step(reference)
+        expected.append(velocity_sums(reference, theta))
+        assert flow_summary(reference, theta) == expected[-1]
+    assert final.step == reference.step
+    for a, b in zip(final.vehicles, reference.vehicles):
+        assert a.position == b.position
+        assert a.velocity == b.velocity
+    assert flows == expected
 
 
 # ---------------------------------------------------------------------------
