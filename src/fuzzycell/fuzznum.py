@@ -417,7 +417,7 @@ def dilate(a: FuzzyInt, e: float) -> FuzzyInt:
     e = float(e)
     if not (0.0 < e <= 1.0):
         raise BadExponentError(f"dilation exponent {e!r} not in (0, 1]")
-    if e == 1.0 or a._values.size == 1:
+    if e == 1.0:
         return a
     return FuzzyInt._from_arrays(a._values, np.power(a._grades, e))
 

@@ -10,8 +10,10 @@ Randomness comes from numpy's PCG64 generator (``numpy.random
 .default_rng``).  Every vehicle consumes exactly one draw per step, in
 vehicle-index order, whether or not the randomization applies, so a
 trajectory is fully determined by the initial state and the seed.  The
-ensemble runner gives run ``i`` the seed ``base_seed + i`` and is
-bit-identical to stepping each run individually.
+ensemble runner gives run ``i`` its own generator, seeded ``base_seed +
+i``, and takes its stream a fixed number of steps at a time.  It steps
+all runs together on (vehicles x runs) arrays with carried gaps and is
+bit-identical to stepping each run individually (see ``monte_carlo``).
 """
 
 from __future__ import annotations
@@ -180,58 +182,72 @@ class NaschEnsemble:
     crossings: np.ndarray
 
 
+_CHUNK = 64  # steps drawn per run at a time: the draw buffer is runs x _CHUNK x n
+
+
 def monte_carlo(initial: NaschState, steps: int, runs: int, base_seed: int) -> NaschEnsemble:
     """Run ``runs`` independent copies of ``initial`` for ``steps`` steps.
 
-    Run i re-seeds the generator with ``base_seed + i``; draws follow the
-    same order as :func:`nasch_step`, so each row reproduces exactly what
-    individual stepping with that seed would produce.  All runs advance
-    together on (runs x vehicles) arrays.
+    Run i has its own generator, seeded ``base_seed + i``, and takes its
+    draws in the order of :func:`nasch_step`, ``_CHUNK`` steps of its
+    stream at a time; successive draws continue one stream, so each row
+    is exactly what stepping that seed alone gives.  The runs advance
+    together on (vehicles x runs) arrays of the narrowest integer type
+    that holds every value reached.  Gaps are carried, ``gap_i +=
+    v_{i+1} - v_i``, which is exact: a gap is a difference of positions
+    that move by those velocities.  A ring keeps positions modulo C, and
+    as ``v <= gap <= C - 1`` a move crosses the seam at most once.  After
+    step 0 a vehicle is queued exactly while it has never moved, since
+    positions never fall back, so queue lengths cannot grow after step 1
+    and the queue work stops once every run's queue is empty.
     """
     if runs < 1:
         raise ValueError("need at least one run")
-    n = initial.positions.size
-    if n == 0:
-        zeros = np.zeros((runs, steps), dtype=np.int64)
-        return NaschEnsemble(
-            initial.road_length, initial.boundary, initial.v_max, initial.p,
-            runs, steps, base_seed,
-            np.zeros((runs, steps + 1), dtype=np.int64), zeros, zeros.copy(),
-        )
-    pos = np.tile(initial.positions, (runs, 1))
-    vel = np.tile(initial.velocities, (runs, 1))
-    start = initial.positions.copy()
-    draws = np.empty((runs, steps, n), dtype=np.float64)
-    for i in range(runs):
-        draws[i] = np.random.default_rng(base_seed + i).random((steps, n))
-
-    qlen = np.empty((runs, steps + 1), dtype=np.int64)
-    total_v = np.empty((runs, steps), dtype=np.int64)
-    crossings = np.empty((runs, steps), dtype=np.int64)
-    qlen[:, 0] = _batch_queue_length(pos, vel, start)
+    n, C, v_max = initial.positions.size, initial.road_length, initial.v_max
     ring = initial.boundary == "ring"
-    C = initial.road_length
-    for t in range(steps):
-        vel = np.minimum(vel + 1, initial.v_max)
-        gap = np.empty_like(pos)
-        if n > 1:
-            gap[:, :-1] = pos[:, 1:] - pos[:, :-1] - 1
-        gap[:, -1] = pos[:, 0] + C - pos[:, -1] - 1 if ring else initial.v_max
-        vel = np.minimum(vel, gap)
-        vel = np.where(draws[:, t, :] < initial.p, np.maximum(vel - 1, 0), vel)
-        new_pos = pos + vel
-        total_v[:, t] = vel.sum(axis=1)
-        crossings[:, t] = (new_pos // C - pos // C).sum(axis=1) if ring else 0
-        pos = new_pos
-        qlen[:, t + 1] = _batch_queue_length(pos, vel, start)
-    return NaschEnsemble(
-        C, initial.boundary, initial.v_max, initial.p, runs, steps, base_seed,
-        qlen, total_v, crossings,
+    qlen = np.zeros((runs, steps + 1), dtype=np.int64)
+    total_v = np.zeros((runs, steps), dtype=np.int64)
+    crossings = np.zeros((runs, steps), dtype=np.int64)
+    qlen[:, 0] = queue_length(initial, initial.positions)
+    ensemble = NaschEnsemble(
+        C, initial.boundary, v_max, initial.p, runs, steps, base_seed, qlen, total_v, crossings
     )
-
-
-def _batch_queue_length(pos, vel, start):
-    in_queue = (pos == start) & (vel == 0)
-    out = np.argmin(in_queue, axis=1)
-    out[in_queue.all(axis=1)] = start.size
-    return out
+    if n == 0:
+        return ensemble
+    gap = _gaps(initial.positions, C, initial.boundary, v_max)
+    # every value fits: a lap plus its move stays below 2C, an open gap grows
+    # by at most v_max a step, and a per-run sum reaches at most n * v_max
+    grown = 0 if ring else int(gap.max()) + v_max * (steps + 1)
+    dtype = np.min_scalar_type(-max(n * v_max, 2 * C, grown) - 1)
+    vel, gap, lap = (
+        np.repeat(col[:, None].astype(dtype), runs, axis=1)
+        for col in (initial.velocities, gap, initial.positions % C)
+    )
+    queue, longest = np.full(runs, n), n
+    gens = [np.random.default_rng(base_seed + i) for i in range(runs)]
+    draws = np.empty((runs, min(steps, _CHUNK), n))
+    for t in range(steps):
+        k = t % _CHUNK
+        if k == 0:
+            block = draws[:, : steps - t]
+            for gen, stream in zip(gens, block):
+                gen.random(out=stream)
+            slow = block < initial.p
+        vel += vel < v_max  # accelerate: velocities never exceed v_max
+        np.minimum(vel, gap, out=vel)
+        vel -= slow[:, k].T & (vel > 0)
+        total_v[:, t] = vel.sum(axis=0, dtype=dtype)
+        gap[:-1] += vel[1:]
+        gap[:-1] -= vel[:-1]
+        if ring:
+            gap[-1] += vel[0] - vel[-1]
+            lap += vel
+            cross = lap >= C
+            crossings[:, t] = cross.sum(axis=0, dtype=dtype)
+            lap -= cross * dtype.type(C)
+        if longest:
+            moved = vel[:longest] > 0
+            queue = np.minimum(queue, np.where(moved.any(axis=0), moved.argmax(axis=0), longest))
+            longest = queue.max()
+            qlen[:, t + 1] = queue
+    return ensemble

@@ -320,6 +320,21 @@ def test_step_equals_composed_reference_ops(boundary):
     assert checked > 50
 
 
+def test_step_equals_reference_ops_on_subnormal_singleton():
+    # a leader core behind its follower (reachable only after step 0)
+    # leaves the follower a sub-normal gap {0.5/1}; its position {0.5/6}
+    # is a one-value set that the dilation must still raise
+    cls = VehicleClass("c", crisp(0), crisp(3), crisp(1))
+    follower = FcmVehicle(0, cls, crisp(5), crisp(0))
+    leader = FcmVehicle(1, cls, fz((4, 1.0), (6, 0.5)), crisp(0))
+    st = FcmState((follower, leader), 50, "open", alpha=0.9, step=1)
+    v_ref = update_velocity(st, 0)
+    e_ref = dilation_exponent(v_ref, cls.v_max, st.alpha)
+    p_ref = advance_position(st.vehicles[0].position, v_ref, e_ref, st.epsilon, None)
+    assert p_ref.values.tolist() == [6] and p_ref.grade(6) > 0.5
+    assert step(st).vehicles[0].position == p_ref
+
+
 def test_capped_gap_preserves_velocity(queue_class):
     # the engine caps every gap at the largest v_max support value of the
     # fleet, above the slow class's own maximum here; the velocities must

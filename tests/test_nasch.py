@@ -1,7 +1,12 @@
 """Baseline cell automaton: rule, determinism, and the ensemble runner."""
 
+import tracemalloc
+from dataclasses import replace
+
+import hypothesis.strategies as hs
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from fuzzycell.nasch import (
     NaschState,
@@ -144,3 +149,73 @@ def test_ring_site_crossings_counted():
     # deterministic free-ish flow on a ring: every lap crosses the seam once
     assert ens.crossings.sum() > 0
     assert np.all(ens.crossings <= 4)
+
+
+@hs.composite
+def nasch_states(draw):
+    """Valid states: 0-10 vehicles with any velocities, open roads (some with
+    gaps too wide for 16-bit integers) and rings (positions on any lap),
+    v_max up to past the road length, p at 0, at 1 or between."""
+    boundary = draw(hs.sampled_from(["open", "ring"]))
+    road = draw(hs.one_of(hs.integers(1, 40), hs.integers(60, 130)))
+    v_max = draw(hs.integers(1, road + 5))
+    if boundary == "ring":
+        cells = draw(hs.sets(hs.integers(0, road - 1), max_size=min(road, 10)))
+        positions = np.array(sorted(cells), dtype=np.int64) + road * draw(hs.integers(-3, 3))
+    else:
+        spread = draw(hs.sampled_from([road, 40_000]))
+        positions = sorted(draw(hs.sets(hs.integers(-spread, spread), max_size=10)))
+    velocities = [draw(hs.integers(0, v_max)) for _ in positions]
+    p = draw(hs.one_of(hs.sampled_from([0.0, 1.0]), hs.floats(0.0, 1.0)))
+    return NaschState(road, boundary, positions, velocities, v_max, p, 0)
+
+
+def _stepped_run(initial, steps, seed):
+    """Queue lengths, total velocities and seam crossings of one run of
+    ``nasch_step`` with generator seed ``seed``."""
+    st = replace(initial, rng_seed=seed, rng=None)
+    start, C = st.positions.copy(), st.road_length
+    qlen, total_v, crossings = [queue_length(st, start)], [], []
+    for _ in range(steps):
+        nxt = nasch_step(st)
+        total_v.append(int(nxt.velocities.sum()))
+        moved_laps = nxt.positions // C - st.positions // C
+        crossings.append(int(moved_laps.sum()) if st.boundary == "ring" else 0)
+        qlen.append(queue_length(nxt, start))
+        st = nxt
+    return qlen, total_v, crossings
+
+
+@settings(max_examples=150, deadline=None)
+@given(nasch_states(), hs.integers(0, 150), hs.integers(1, 4), hs.integers(0, 2**32))
+@example(ring_uniform(1, 100, v_max=60, p=0.3), 130, 2, 9)  # laps past 8-bit integers
+@example(NaschState(40, "open", [0, 100], [0, 40], 40, 0.5, 0), 20, 2, 3)  # so does a gap
+@example(NaschState(30, "open", range(0, 210, 21), [20] * 10, 20, 0.0, 0), 1, 1, 0)  # a sum
+@example(NaschState(5, "ring", [1, 2, 4], [2, 0, 1], 7, 0.0, 0), 70, 2, 5)
+@example(queue_state(6, 30, p=1.0), 0, 3, 1)
+def test_monte_carlo_matches_stepped_runs(initial, steps, runs, base_seed):
+    ens = monte_carlo(initial, steps, runs, base_seed)
+    outputs = (ens.queue_lengths, ens.total_velocity, ens.crossings)
+    for out, width in zip(outputs, (steps + 1, steps, steps)):
+        assert out.shape == (runs, width) and out.dtype == np.int64 and out.flags.c_contiguous
+    for i in range(runs):
+        expected = _stepped_run(initial, steps, base_seed + i)
+        assert [out[i].tolist() for out in outputs] == list(expected)
+
+
+def test_monte_carlo_memory_does_not_grow_with_steps():
+    # no buffer may grow with runs x steps x vehicles: beyond the returned
+    # arrays, 6000 steps peak no higher than 600
+    initial = ring_uniform(95, 100)
+
+    def peak_beyond_outputs(steps):
+        tracemalloc.start()
+        try:
+            ens = monte_carlo(initial, steps, 50, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - sum(a.nbytes for a in (ens.queue_lengths, ens.total_velocity, ens.crossings))
+
+    # less than one step of draws for every run; an up-front buffer adds 5400
+    assert peak_beyond_outputs(6000) - peak_beyond_outputs(600) < 50 * 95 * 8
