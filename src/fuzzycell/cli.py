@@ -6,6 +6,12 @@ outputs; ``queue-experiment`` writes the model's queue-length series;
 fuzzy model and the baseline ensemble side by side.  Scenario arguments
 take a file path or the name of a bundled scenario.  Exit codes: 0 on
 success, 1 on configuration or I/O failure, 2 on usage errors.
+
+Trajectory outputs are streamed: one simulation feeds every space-time
+image and fuzzy queue series of a command as its states arrive, and
+each state is dropped once its rows are written, so memory does not
+grow with the step count.  The ``wrote kind -> path`` lines follow the
+order in which the scenario declares its outputs.
 """
 
 from __future__ import annotations
@@ -13,10 +19,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
 
 from . import metrics, model, nasch, simio
+from .fuzznum import defuzz_argmax
 
 OUT_DIR_ENV = "FUZZYCELL_OUT_DIR"
 
@@ -125,20 +133,32 @@ def _emit(kind: str, path: Path) -> None:
     print(f"wrote {kind} -> {path}")
 
 
-def _run_fcm(config):
-    state = simio.build_fcm_state(config)
-    return model.trajectory(state, config.steps)
+def _stream(config, outputs) -> None:
+    """Simulate ``config`` once and write every (kind, path) output state by state.
 
-
-def _queue_slots(config):
-    from .fuzznum import defuzz_argmax
-
-    return [defuzz_argmax(e.position) for e in config.fleet]
-
-
-def _fcm_queue_series(config):
-    states = _run_fcm(config)
-    return metrics.queue_series(states, _queue_slots(config))
+    Each state becomes a space-time row and, for the fuzzy model, a queue
+    length; both go to their open files and the state is dropped, so no
+    trajectory is kept.  Queue outputs need the fuzzy model.
+    """
+    if config.model == "fcm":
+        states = model.iter_states(simio.build_fcm_state(config), config.steps)
+        frame_row = simio.fcm_membership_row
+        slots = [defuzz_argmax(e.position) for e in config.fleet]
+    else:
+        states = nasch.iter_states(simio.build_nasch_state(config), config.steps)
+        frame_row = simio.nasch_occupancy_row
+    with ExitStack() as stack:
+        sinks = []
+        for kind, path in outputs:
+            if kind == "spacetime":
+                rows = simio.spacetime_rows(path, config.road_length, config.steps + 1)
+                sinks.append((stack.enter_context(rows), frame_row))
+            else:
+                write = stack.enter_context(simio.queue_rows(path, "grade"))
+                sinks.append((write, lambda state: metrics.queue_length(state, slots)))
+        for state in states:
+            for write, row in sinks:
+                write(row(state))
 
 
 def _nasch_histogram(config):
@@ -151,23 +171,16 @@ def _nasch_histogram(config):
 def _cmd_run(config, out_dir) -> int:
     if not config.outputs:
         raise ValueError("scenario declares no outputs; nothing to write")
-    states = None
+    kinds = ("spacetime", "queue") if config.model == "fcm" else ("spacetime",)
+    streamed = [(s.kind, out_dir / s.path) for s in config.outputs if s.kind in kinds]
     for spec in config.outputs:
         target = out_dir / spec.path
-        if spec.kind == "spacetime":
-            if config.model == "fcm":
-                states = states or _run_fcm(config)
-                frames = simio.fcm_membership_frames(states)
-            else:
-                run = nasch.trajectory(simio.build_nasch_state(config), config.steps)
-                frames = simio.nasch_frames(run)
-            simio.write_spacetime(frames, target)
+        if spec.kind in kinds:
+            if streamed:  # the first streamed output writes all of them in one pass
+                _stream(config, streamed)
+                streamed = None
         elif spec.kind == "queue":
-            if config.model == "fcm":
-                states = states or _run_fcm(config)
-                simio.write_queue_csv(metrics.queue_series(states, _queue_slots(config)), target)
-            else:
-                simio.write_queue_csv(_nasch_histogram(config), target)
+            simio.write_queue_csv(_nasch_histogram(config), target)
         else:
             simio.write_fd_csv(metrics.sweep_fundamental_diagram(config), target)
         _emit(spec.kind, target)
@@ -177,7 +190,7 @@ def _cmd_run(config, out_dir) -> int:
 def _cmd_queue(config, stem, out_dir) -> int:
     target = _declared(config, "queue", out_dir, f"{stem}_{config.model}_queue.csv")
     if config.model == "fcm":
-        simio.write_queue_csv(_fcm_queue_series(config), target)
+        _stream(config, [("queue", target)])
     else:
         simio.write_queue_csv(_nasch_histogram(config), target)
     _emit("queue", target)
@@ -194,7 +207,7 @@ def _cmd_fd(config, stem, out_dir, densities) -> int:
 
 def _cmd_compare(config, stem, out_dir) -> int:
     fuzzy_target = out_dir / f"{stem}_fcm_queue.csv"
-    simio.write_queue_csv(_fcm_queue_series(replace(config, model="fcm")), fuzzy_target)
+    _stream(replace(config, model="fcm"), [("queue", fuzzy_target)])
     _emit("queue", fuzzy_target)
     nasch_target = out_dir / f"{stem}_nasch_queue.csv"
     simio.write_queue_csv(_nasch_histogram(config), nasch_target)

@@ -61,22 +61,37 @@ def queue_length(state: FcmState, initial_positions) -> dict[int, float]:
     Entry x carries min(degrees of the rear x vehicles, negated degrees
     of the rest).  The mapping can be sub-normal or even empty when the
     in-queue degrees are contradictory (a moving vehicle behind a queued
-    one); it is returned unnormalized.
+    one); it is returned unnormalized.  ``initial_positions`` holds one
+    start cell per vehicle.  The degrees are those of
+    :func:`in_queue_degree`, read from the concatenated supports at once.
     """
-    degrees = np.array(
-        [
-            in_queue_degree(veh, slot)
-            for veh, slot in zip(state.vehicles, initial_positions)
-        ],
-        dtype=np.float64,
-    )
-    m = degrees.size
+    n = len(state.vehicles)
+    slots = np.asarray(initial_positions, dtype=np.int64)
+    if slots.shape != (n,):
+        raise ValueError(f"{slots.size} start cells given for {n} vehicles")
+    degrees = np.zeros(n, dtype=np.float64)
+    if n:
+        values, grades, sizes = _supports([veh.position for veh in state.vehicles])
+        owner = np.repeat(np.arange(n), sizes)
+        at_slot = values == slots[owner]
+        degrees[owner[at_slot]] = grades[at_slot]  # supports are unique: one hit at most
+        values, grades, sizes = _supports([veh.velocity for veh in state.vehicles])
+        first = np.concatenate(([0], np.cumsum(sizes[:-1])))
+        # velocity supports are non-negative, so 0 can only be the first value
+        np.minimum(degrees, np.where(values[first] == 0, grades[first], 0.0), out=degrees)
     prefix = np.concatenate(([1.0], np.minimum.accumulate(degrees)))
     suffix = np.concatenate(
         (np.minimum.accumulate((1.0 - degrees)[::-1])[::-1], [1.0])
     )
     mu = np.minimum(prefix, suffix)
-    return {x: float(mu[x]) for x in range(m + 1) if mu[x] > 0.0}
+    return {x: float(mu[x]) for x in np.flatnonzero(mu > 0.0).tolist()}
+
+
+def _supports(numbers):
+    """Concatenated support values and grades of fuzzy integers, and their sizes."""
+    values = np.concatenate([f.values for f in numbers])
+    grades = np.concatenate([f.grades for f in numbers])
+    return values, grades, np.array([f.values.size for f in numbers])
 
 
 def queue_series(states, initial_positions) -> list[dict[int, float]]:

@@ -350,7 +350,9 @@ def _update(fleet, pos, origin, vel):
     column v velocity v.  Gap: ``diag[:, d]`` is the max-min grade of the
     pairs at distance d from a row to its leader's row, which is extended
     with zeros on an open road and with itself on a ring; the last column
-    takes all distances from ``reach`` on, by a running window maximum.
+    takes all distances from ``reach`` on: a running window maximum on a
+    ring, and on an open road, where every such window runs into the zero
+    padding, the leader row's suffix maximum.
     For leader length l, distances up to l give gap 0 (prefix maximum),
     those from cap + l give cap (suffix maximum).  The cap is exact: the
     velocity minimum never exceeds the row's own v_max <= cap, and its
@@ -370,7 +372,11 @@ def _update(fleet, pos, origin, vel):
     for d in range(1, min(reach, width)):
         np.minimum(pos, ext[:, d : d + width], out=pairs[:, d])
     if reach < width:
-        far = _window_max(ext, width - reach)[:, reach : reach + width]
+        if fleet.ring:
+            far = _window_max(ext, width - reach)[:, reach : reach + width]
+        else:  # zero padding: each window from reach on runs to the row's end
+            far = np.zeros_like(pos)
+            far[:, : width - reach] = _suffix_max(lead)[:, reach:]
         np.minimum(pos, far, out=pairs[:, reach])
     diag = pairs.max(axis=2)
     near_far = [np.maximum.accumulate(diag, axis=1), diag, _suffix_max(diag)]

@@ -27,6 +27,7 @@ __all__ = [
     "NaschEnsemble",
     "nasch_step",
     "trajectory",
+    "iter_states",
     "monte_carlo",
     "queue_length",
     "queue_state",
@@ -141,11 +142,15 @@ def nasch_step(state: NaschState) -> NaschState:
 
 def trajectory(state: NaschState, steps: int) -> list[NaschState]:
     """The initial state followed by ``steps`` successive updates."""
-    out = [state]
+    return list(iter_states(state, steps))
+
+
+def iter_states(state: NaschState, steps: int):
+    """Yield the initial state and then ``steps`` successive updates."""
+    yield state
     for _ in range(steps):
         state = nasch_step(state)
-        out.append(state)
-    return out
+        yield state
 
 
 def queue_length(state: NaschState, initial_positions: np.ndarray) -> int:

@@ -26,11 +26,17 @@ round-trips through :func:`load_scenario` unchanged.
 
 Outputs: CSV time series with ``repr``-formatted floats (stable bytes
 for golden-file comparison) and binary PGM (P5) space-time images, one
-row per time step, one column per cell, black = membership 1.
+row per time step, one column per cell, black = membership 1.  Both are
+streamed: :func:`spacetime_rows` and :func:`queue_rows` write one step
+at a time as a simulation yields its states (the image height, steps +
+1, is known up front), so no trajectory or steps x road array is kept.
+:func:`write_spacetime` and :func:`write_queue_csv` feed a whole series
+through the same writers.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -58,9 +64,13 @@ __all__ = [
     "load_builtin",
     "build_fcm_state",
     "build_nasch_state",
+    "fcm_membership_row",
+    "nasch_occupancy_row",
     "fcm_membership_frames",
     "nasch_frames",
+    "spacetime_rows",
     "write_spacetime",
+    "queue_rows",
     "write_queue_csv",
     "write_fd_csv",
 ]
@@ -449,30 +459,64 @@ def build_nasch_state(config: ScenarioConfig, seed: int | None = None) -> NaschS
 # output writers
 
 
+def fcm_membership_row(state) -> np.ndarray:
+    """Per-cell maximal position membership over all vehicles of one state."""
+    road = state.road_length
+    row = np.zeros(road, dtype=np.float64)
+    if state.vehicles:
+        values = np.concatenate([veh.position.values for veh in state.vehicles])
+        grades = np.concatenate([veh.position.grades for veh in state.vehicles])
+        inside = (values >= 0) & (values < road)
+        np.maximum.at(row, values[inside], grades[inside])
+    return row
+
+
+def nasch_occupancy_row(state) -> np.ndarray:
+    """Crisp occupancy of one state (grade 1 where a vehicle sits)."""
+    road = state.road_length
+    pos = state.positions % road if state.boundary == "ring" else state.positions
+    row = np.zeros(road, dtype=np.float64)
+    row[pos[(pos >= 0) & (pos < road)]] = 1.0
+    return row
+
+
 def fcm_membership_frames(states) -> np.ndarray:
     """Per-step, per-cell maximal position membership over all vehicles."""
-    states = list(states)
-    road = states[0].road_length
-    out = np.zeros((len(states), road), dtype=np.float64)
-    for t, state in enumerate(states):
-        row = out[t]
-        for veh in state.vehicles:
-            values = veh.position.values
-            inside = (values >= 0) & (values < road)
-            np.maximum.at(row, values[inside], veh.position.grades[inside])
-    return out
+    return np.stack([fcm_membership_row(state) for state in states])
 
 
 def nasch_frames(states) -> np.ndarray:
     """Crisp occupancy frames (grade 1 where a vehicle sits)."""
-    states = list(states)
-    road = states[0].road_length
-    out = np.zeros((len(states), road), dtype=np.float64)
-    for t, state in enumerate(states):
-        pos = state.positions % road if state.boundary == "ring" else state.positions
-        inside = (pos >= 0) & (pos < road)
-        out[t, pos[inside]] = 1.0
-    return out
+    return np.stack([nasch_occupancy_row(state) for state in states])
+
+
+@contextmanager
+def spacetime_rows(path, width: int, height: int):
+    """Open a binary PGM of ``height`` rows of ``width`` cells; yield a row writer.
+
+    The writer takes one membership row per call (black = grade 1,
+    white = empty) and writes it at once.  Leaving the block with fewer
+    than ``height`` rows written raises ValueError.
+    """
+    if width < 1 or height < 1:
+        raise ValueError("a space-time image needs at least one row and one cell")
+    written = 0
+
+    def write(row) -> None:
+        nonlocal written
+        row = np.asarray(row, dtype=np.float64)
+        if row.shape != (width,):
+            raise ValueError(f"membership row of shape {row.shape}, expected ({width},)")
+        if written == height:
+            raise ValueError(f"more than the declared {height} rows")
+        fh.write(np.rint(255.0 * (1.0 - np.clip(row, 0.0, 1.0))).astype(np.uint8).tobytes())
+        written += 1
+
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
+        yield write
+    if written != height:
+        raise ValueError(f"{written} rows written, {height} declared")
 
 
 def write_spacetime(frames, path) -> None:
@@ -480,17 +524,34 @@ def write_spacetime(frames, path) -> None:
     arr = np.asarray(frames, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError("frames must be a non-empty 2-D membership array")
-    pixels = np.rint(255.0 * (1.0 - np.clip(arr, 0.0, 1.0))).astype(np.uint8)
-    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(pixels.tobytes())
+    with spacetime_rows(path, arr.shape[1], arr.shape[0]) as write:
+        for row in arr:
+            write(row)
 
 
 def _csv(path, header, rows) -> None:
     lines = [header]
     lines.extend(rows)
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+@contextmanager
+def queue_rows(path, column: str):
+    """Open a queue series CSV; yield a writer taking one step at a time.
+
+    Each call takes the next step's value -> ``column`` mapping and
+    writes its non-zero entries in length order.
+    """
+    step = 0
+
+    def write(dist) -> None:
+        nonlocal step
+        fh.write("".join(f"{step},{x},{float(dist[x])!r}\n" for x in sorted(dist)))
+        step += 1
+
+    with open(path, "w") as fh:
+        fh.write(f"step,length,{column}\n")
+        yield write
 
 
 def write_queue_csv(series, path) -> None:
@@ -500,18 +561,14 @@ def write_queue_csv(series, path) -> None:
     ensemble input is a (steps x lengths) probability matrix.  Rows are
     ordered by step then length, zero entries skipped.
     """
-    rows = []
     if isinstance(series, np.ndarray):
-        header = "step,length,probability"
-        for t in range(series.shape[0]):
-            for x in np.flatnonzero(series[t] > 0.0):
-                rows.append(f"{t},{x},{float(series[t, x])!r}")
+        column = "probability"
+        series = ({int(x): p[x] for x in np.flatnonzero(p > 0.0)} for p in series)
     else:
-        header = "step,length,grade"
-        for t, dist in enumerate(series):
-            for x in sorted(dist):
-                rows.append(f"{t},{x},{float(dist[x])!r}")
-    _csv(path, header, rows)
+        column = "grade"
+    with queue_rows(path, column) as write:
+        for dist in series:
+            write(dist)
 
 
 def write_fd_csv(points, path) -> None:

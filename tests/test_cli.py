@@ -1,9 +1,12 @@
 """Command-line behavior: parsing, outputs, overrides, exit codes."""
 
+import tracemalloc
+
 import pytest
 
-from fuzzycell import model
+from fuzzycell import model, nasch
 from fuzzycell.cli import build_parser, main
+from fuzzycell.simio import build_nasch_state, load_scenario, nasch_frames, write_spacetime
 
 SMALL_SCENARIO = """
 model: fcm
@@ -80,18 +83,87 @@ def test_run_writes_declared_outputs(small_scenario, tmp_path, capsys):
 
 
 def test_run_simulates_trajectory_once(small_scenario, tmp_path, monkeypatch):
-    # the scenario declares a queue and a spacetime output; both read one
-    # simulated trajectory
+    # the scenario declares a queue and a spacetime output; both are written
+    # from one simulated trajectory of 8 steps
     calls = []
-    trajectory = model.trajectory
+    step = model.step
 
-    def counted(state, steps):
-        calls.append(steps)
-        return trajectory(state, steps)
+    def counted(state):
+        calls.append(state.step)
+        return step(state)
 
-    monkeypatch.setattr(model, "trajectory", counted)
+    monkeypatch.setattr(model, "step", counted)
     assert main(["run", str(small_scenario), "--out-dir", str(tmp_path)]) == 0
-    assert calls == [8]
+    assert calls == list(range(8))
+
+
+def test_output_order_does_not_change_bytes(tmp_path, capsys):
+    # one pass writes both outputs; the stdout lines keep the declared order
+    swapped = SMALL_SCENARIO.replace(
+        "  - {kind: queue, path: small_queue.csv}\n  - {kind: spacetime, path: small.pgm}",
+        "  - {kind: spacetime, path: small.pgm}\n  - {kind: queue, path: small_queue.csv}",
+    )
+    assert swapped != SMALL_SCENARIO
+    stdout, data = {}, {}
+    for name, text in (("queue_first", SMALL_SCENARIO), ("spacetime_first", swapped)):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(text)
+        out = tmp_path / name
+        assert main(["run", str(path), "--out-dir", str(out)]) == 0
+        stdout[name] = [line.split(" -> ")[0] for line in capsys.readouterr().out.splitlines()]
+        data[name] = [(out / f).read_bytes() for f in ("small_queue.csv", "small.pgm")]
+    assert stdout["queue_first"] == ["wrote queue", "wrote spacetime"]
+    assert stdout["spacetime_first"] == ["wrote spacetime", "wrote queue"]
+    assert data["queue_first"] == data["spacetime_first"]
+
+
+def test_run_streams_nasch_spacetime(tmp_path):
+    text = RING_SCENARIO + "queue: {class: car, count: 6, spacing: 4}\n"
+    text += "outputs:\n  - {kind: spacetime, path: ring.pgm}\n"
+    path = tmp_path / "ring.yaml"
+    path.write_text(text)
+    assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 0
+    config = load_scenario(text)
+    expected = tmp_path / "expected.pgm"
+    write_spacetime(nasch_frames(nasch.trajectory(build_nasch_state(config), 40)), expected)
+    assert (tmp_path / "ring.pgm").read_bytes() == expected.read_bytes()
+
+
+RING_FCM_SCENARIO = """
+model: fcm
+road_length: 100
+boundary: ring
+steps: 10
+classes:
+  - name: car
+    length: 1
+    v_max: [[2, 0.3], [3, 1.0], [4, 0.3]]
+    accel: [[0, 0.3], [1, 1.0], [2, 0.3]]
+queue: {class: car, count: 5, spacing: 20}
+outputs:
+  - {kind: spacetime, path: ring.pgm}
+  - {kind: queue, path: ring_queue.csv}
+"""
+
+
+def test_run_memory_does_not_grow_with_steps(tmp_path):
+    # outputs are streamed: the peak holds a few states, not a trajectory
+    path = tmp_path / "ring.yaml"
+    path.write_text(RING_FCM_SCENARIO)
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            code = main(["run", str(path), "--out-dir", str(tmp_path), "--steps", str(steps)])
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # first-call caches are not part of the bound
+    (short_code, short), (long_code, long) = peak(200), peak(2000)
+    assert short_code == long_code == 0
+    assert long < 1.25 * short + 2**18
+    assert (tmp_path / "ring.pgm").read_bytes().startswith(b"P5\n100 2001\n255\n")
 
 
 def test_fundamental_diagram_on_open_road_exits_1(tmp_path, capsys):

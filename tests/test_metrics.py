@@ -2,9 +2,12 @@
 
 from dataclasses import dataclass, replace
 
+import hypothesis.strategies as hs
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import fuzzy_ints
 from fuzzycell import (
     FcmState,
     FcmVehicle,
@@ -130,6 +133,48 @@ def test_queue_length_contradictory_degrees_is_empty(queue_class):
     )
     st = FcmState(vehicles, 100, "open", step=2)
     assert queue_length(st, [0, 1]) == {}
+
+
+def queue_length_reference(state, slots):
+    """The graded prefix rule composed from per-vehicle in-queue degrees."""
+    degrees = [in_queue_degree(veh, slot) for veh, slot in zip(state.vehicles, slots)]
+    out = {}
+    for x in range(len(degrees) + 1):
+        grade = min([*degrees[:x], *(1.0 - d for d in degrees[x:])], default=1.0)
+        if grade > 0.0:
+            out[x] = grade
+    return out
+
+
+@hs.composite
+def queued_states(draw):
+    """Fuzzy states with one start cell per vehicle.  A start cell may lie
+    outside its position support, and a velocity may have no 0 in its
+    support.  Step 1, so positions need not keep their initial order."""
+    vclass = VehicleClass("c", crisp(0), make_fuzzy([(3, 1.0), (4, 0.4)]), crisp(1))
+    vehicles, slots = [], []
+    for i in range(draw(hs.integers(0, 8))):
+        position = draw(fuzzy_ints(min_value=0, max_value=12, max_size=5))
+        velocity = draw(fuzzy_ints(min_value=0, max_value=4, max_size=4))
+        vehicles.append(FcmVehicle(i, vclass, position, velocity))
+        inside = hs.sampled_from(position.values.tolist())
+        slots.append(draw(hs.one_of(inside, hs.integers(0, 14))))
+    return FcmState(tuple(vehicles), 20, "open", step=1), slots
+
+
+@settings(max_examples=100, deadline=None)
+@given(queued_states())
+def test_queue_length_matches_per_vehicle_degrees(case):
+    state, slots = case
+    assert queue_length(state, slots) == queue_length_reference(state, slots)
+
+
+def test_queue_length_needs_one_start_cell_per_vehicle(queue_class):
+    st = stopped_queue(queue_class, 3, 50)
+    with pytest.raises(ValueError):
+        queue_length(st, range(4))
+    with pytest.raises(ValueError):
+        queue_length(st, [0, 1])
 
 
 def test_argmax_grade():

@@ -14,9 +14,11 @@ from fuzzycell.simio import (
     builtin_scenarios,
     dump_scenario,
     fcm_membership_frames,
+    fcm_membership_row,
     load_builtin,
     load_scenario,
     nasch_frames,
+    spacetime_rows,
     write_fd_csv,
     write_queue_csv,
     write_spacetime,
@@ -215,6 +217,40 @@ def test_fcm_frames_from_states(queue_class):
     assert frames.shape == (3, 10)
     assert frames[0, 0] == 1.0 and frames[0, 1] == 0.0
     assert frames[1].max() == 1.0
+
+
+@pytest.mark.parametrize("boundary", ["open", "ring"])
+def test_fcm_membership_row_matches_cell_occupancy(boundary, queue_class):
+    from fuzzycell import FcmState, FcmVehicle, cell_occupancy
+    from fuzzycell.model import iter_states
+
+    road = 24
+    rng = np.random.default_rng(11 if boundary == "open" else 12)
+    vehicles = []
+    for i, core in enumerate(range(2, road - 2, 5)):
+        others = {int(v) for v in rng.integers(core - 2, core + 3, 3)} - {core}
+        grades = rng.uniform(0.05, 0.95, len(others)).tolist()
+        support = [(core, 1.0), *zip(sorted(others), grades)]
+        velocity = make_fuzzy([(0, 1.0), (1, float(rng.uniform(0.1, 0.9)))])
+        vehicles.append(FcmVehicle(i, queue_class, make_fuzzy(support), velocity))
+    state = FcmState(tuple(vehicles), road, boundary)
+    # open-road supports run past the road's end; rings wrap on every step
+    for st in iter_states(state, 30):
+        expected = [max(cell_occupancy(st, c).values(), default=0.0) for c in range(road)]
+        assert fcm_membership_row(st).tolist() == expected
+
+
+def test_spacetime_rows_checks_the_declared_height(tmp_path):
+    with pytest.raises(ValueError):
+        with spacetime_rows(tmp_path / "short.pgm", 3, 2) as write:
+            write(np.zeros(3))
+    with pytest.raises(ValueError):
+        with spacetime_rows(tmp_path / "long.pgm", 3, 1) as write:
+            write(np.zeros(3))
+            write(np.zeros(3))
+    with pytest.raises(ValueError):
+        with spacetime_rows(tmp_path / "wide.pgm", 3, 1) as write:
+            write(np.zeros(4))
 
 
 def test_nasch_frames_staircase():
