@@ -12,15 +12,17 @@ sweep over support pairs:
 
     mu_out(z) = max { min(mu_a(x), mu_b(y)) : x op y = z }
 
-Two interchangeable realizations exist for each operation: a production
-path (pure-Python for small supports, vectorized numpy for large ones)
-and :func:`oracle_ext_op`, a deliberately naive double loop kept free of
-any shortcut so the test suite can cross-check the optimized code.
+Each operation has one production path: every support pair gives a
+candidate value with the smaller of its two grades, and one sort-and-merge
+kernel keeps each distinct value once, with its largest grade.  Its work
+and memory follow the number of support pairs, not the span of the
+values.  :func:`wrap_mod` merges the reduced values the same way.
+:func:`oracle_ext_op` is a deliberately naive double loop kept free of
+any shortcut so the test suite can cross-check the production path.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 
 import numpy as np
@@ -45,11 +47,6 @@ __all__ = [
     "wrap_mod",
     "oracle_ext_op",
 ]
-
-# Below this many support pairs the plain-Python sweep beats numpy's
-# per-call overhead.
-_SMALL_PAIRS = 256
-
 
 class FuzzyNumError(ValueError):
     """Base class for fuzzy-integer construction and operation errors."""
@@ -224,24 +221,11 @@ def crisp(value: int) -> FuzzyInt:
     )
 
 
-def _from_dict(best: dict[int, float]) -> FuzzyInt:
-    values = np.fromiter(best.keys(), dtype=np.int64, count=len(best))
-    grades = np.fromiter(best.values(), dtype=np.float64, count=len(best))
-    order = np.argsort(values, kind="stable")
-    return FuzzyInt._from_arrays(values[order], grades[order])
-
-
-def _dense(f: FuzzyInt) -> tuple[int, np.ndarray]:
-    """Embed the support on a contiguous grid: (lowest value, grade array)."""
-    lo = int(f._values[0])
-    arr = np.zeros(int(f._values[-1]) - lo + 1, dtype=np.float64)
-    arr[f._values - lo] = f._grades
-    return lo, arr
-
-
-def _from_dense(lo: int, arr: np.ndarray) -> FuzzyInt:
-    idx = np.flatnonzero(arr)
-    return FuzzyInt._from_arrays(idx + lo, arr[idx])
+def _supports(sets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenated support values and grades of many fuzzy sets, and their sizes."""
+    values = np.concatenate([f._values for f in sets])
+    grades = np.concatenate([f._grades for f in sets])
+    return values, grades, np.array([f._values.size for f in sets])
 
 
 def _dense_rows(sets, lo: int = 0, width: int | None = None) -> np.ndarray:
@@ -249,17 +233,17 @@ def _dense_rows(sets, lo: int = 0, width: int | None = None) -> np.ndarray:
 
     ``width`` defaults to the columns up to the largest support value.
     """
+    values, grades, sizes = _supports(sets)
+    values = values - lo
     if width is None:
-        width = max(int(f._values[-1]) for f in sets) - lo + 1
+        width = int(values.max()) + 1
     grid = np.zeros((len(sets), width), dtype=np.float64)
-    rows = np.arange(len(sets)).repeat([f._values.size for f in sets])
-    values = np.concatenate([f._values for f in sets]) - lo
-    grid[rows, values] = np.concatenate([f._grades for f in sets])
+    grid[np.arange(len(sets)).repeat(sizes), values] = grades
     return grid
 
 
 def _from_dense_rows(lo: int, grid: np.ndarray) -> list[FuzzyInt]:
-    """The fuzzy set of each row of ``grid``, as :func:`_from_dense` does for one."""
+    """The fuzzy set of each row of ``grid``: its non-zero columns, from value ``lo``."""
     rows, idx = grid.nonzero()
     values = idx + lo
     grades = grid[rows, idx]
@@ -275,74 +259,36 @@ def _from_dense_rows(lo: int, grid: np.ndarray) -> list[FuzzyInt]:
     return out
 
 
+def _max_merge(values: np.ndarray, grades: np.ndarray) -> FuzzyInt:
+    """The fuzzy set of candidate (value, grade) pairs: one entry per
+    distinct value, carrying the largest of its grades."""
+    order = np.argsort(values)
+    values = values[order]
+    grades = grades[order]
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    return FuzzyInt._from_arrays(values[starts], np.maximum.reduceat(grades, starts))
+
+
 # ---------------------------------------------------------------------------
 # extension-principle operations
 
 
+def _ext_op(op, a: FuzzyInt, b: FuzzyInt) -> FuzzyInt:
+    # every support pair is a candidate z = op(x, y) with grade min(mu_a(x), mu_b(y))
+    return _max_merge(
+        op.outer(a._values, b._values).ravel(),
+        np.minimum.outer(a._grades, b._grades).ravel(),
+    )
+
+
 def ext_add(a: FuzzyInt, b: FuzzyInt) -> FuzzyInt:
     """Extension-principle sum: mu(z) = max over x+y=z of min(mu_a, mu_b)."""
-    if a._values.size == 1 and b._values.size == 1:
-        if a._grades[0] == 1.0 and b._grades[0] == 1.0:
-            return crisp(int(a._values[0]) + int(b._values[0]))
-    if a._values.size * b._values.size <= _SMALL_PAIRS:
-        best: dict[int, float] = {}
-        for x, gx in zip(a._values.tolist(), a._grades.tolist()):
-            for y, gy in zip(b._values.tolist(), b._grades.tolist()):
-                z = x + y
-                g = gx if gx < gy else gy
-                if g > best.get(z, 0.0):
-                    best[z] = g
-        return _from_dict(best)
-    return _shift_combine(a, b, negate_small=False)
+    return _ext_op(np.add, a, b)
 
 
 def ext_sub(a: FuzzyInt, b: FuzzyInt) -> FuzzyInt:
     """Extension-principle difference: mu(z) = max over x-y=z of min grades."""
-    if a._values.size == 1 and b._values.size == 1:
-        if a._grades[0] == 1.0 and b._grades[0] == 1.0:
-            return crisp(int(a._values[0]) - int(b._values[0]))
-    if a._values.size * b._values.size <= _SMALL_PAIRS:
-        best: dict[int, float] = {}
-        for x, gx in zip(a._values.tolist(), a._grades.tolist()):
-            for y, gy in zip(b._values.tolist(), b._grades.tolist()):
-                z = x - y
-                g = gx if gx < gy else gy
-                if g > best.get(z, 0.0):
-                    best[z] = g
-        return _from_dict(best)
-    return _shift_combine(a, b, negate_small=True)
-
-
-def _shift_combine(a: FuzzyInt, b: FuzzyInt, negate_small: bool) -> FuzzyInt:
-    """Max-min convolution on a dense grid, shifting by the smaller support.
-
-    For every support value y of the smaller operand, the contribution to
-    the output grid is min(dense(larger), grade(y)) placed at offset +y
-    (or -y for subtraction with the smaller operand on the right).
-    """
-    big, small = (a, b) if a._values.size >= b._values.size else (b, a)
-    swapped = big is b
-    lo_big, dense_big = _dense(big)
-    span = dense_big.size
-    s_values = small._values.tolist()
-    s_grades = small._grades.tolist()
-
-    if not negate_small:
-        offsets = [lo_big + y for y in s_values]
-    elif not swapped:  # a - b with b small: z = x - y
-        offsets = [lo_big - y for y in s_values]
-    else:  # a - b with a small: z falls as the subtrahend grows, so flip
-        dense_big = dense_big[::-1]
-        hi_big = lo_big + span - 1
-        offsets = [y - hi_big for y in s_values]
-
-    out_lo = min(offsets)
-    out = np.zeros(max(offsets) - out_lo + span, dtype=np.float64)
-    for off, gy in zip(offsets, s_grades):
-        start = off - out_lo
-        seg = out[start : start + span]
-        np.maximum(seg, np.minimum(dense_big, gy), out=seg)
-    return _from_dense(out_lo, out)
+    return _ext_op(np.subtract, a, b)
 
 
 def ext_min(*operands: FuzzyInt) -> FuzzyInt:
@@ -351,57 +297,12 @@ def ext_min(*operands: FuzzyInt) -> FuzzyInt:
     The binary operation is associative on this representation, so the
     fold realizes the n-ary sup-min definition exactly.
     """
-    if len(operands) == 1 and not isinstance(operands[0], FuzzyInt):
-        operands = tuple(operands[0])
     if len(operands) < 2:
         raise TypeError("ext_min needs at least two operands")
     acc = operands[0]
     for other in operands[1:]:
-        acc = _ext_min2(acc, other)
+        acc = _ext_op(np.minimum, acc, other)
     return acc
-
-
-def _ext_min2(a: FuzzyInt, b: FuzzyInt) -> FuzzyInt:
-    # min(x, y) = z requires (x = z and y >= z) or (y = z and x >= z), so
-    # mu(z) = max(min(mu_a(z), S_b(z)), min(mu_b(z), S_a(z))) with S the
-    # running suffix maximum of the other operand's grades.
-    if a._values.size == 1 and b._values.size == 1:
-        if a._grades[0] == 1.0 and b._grades[0] == 1.0:
-            return crisp(min(int(a._values[0]), int(b._values[0])))
-    if a._values.size * b._values.size <= _SMALL_PAIRS:
-        best: dict[int, float] = {}
-        for x, gx in zip(a._values.tolist(), a._grades.tolist()):
-            for y, gy in zip(b._values.tolist(), b._grades.tolist()):
-                z = x if x < y else y
-                g = gx if gx < gy else gy
-                if g > best.get(z, 0.0):
-                    best[z] = g
-        return _from_dict(best)
-
-    lo = min(int(a._values[0]), int(b._values[0]))
-    hi = min(int(a._values[-1]), int(b._values[-1]))
-    n = hi - lo + 1
-    da = np.zeros(n, dtype=np.float64)
-    db = np.zeros(n, dtype=np.float64)
-    ia = a._values <= hi
-    ib = b._values <= hi
-    da[a._values[ia] - lo] = a._grades[ia]
-    db[b._values[ib] - lo] = b._grades[ib]
-    sa = _suffix_max_from(a, lo, n)
-    sb = _suffix_max_from(b, lo, n)
-    out = np.maximum(np.minimum(da, sb), np.minimum(db, sa))
-    return _from_dense(lo, out)
-
-
-def _suffix_max_from(f: FuzzyInt, lo: int, n: int) -> np.ndarray:
-    """suffix[i] = max grade of f over values >= lo + i, for i in [0, n)."""
-    flo, dense = _dense(f)
-    suf = np.maximum.accumulate(dense[::-1])[::-1]
-    out = np.zeros(n, dtype=np.float64)
-    idx = np.arange(lo, lo + n) - flo
-    inside = idx < dense.size
-    out[inside] = suf[np.maximum(idx[inside], 0)]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -458,23 +359,9 @@ def wrap_mod(a: FuzzyInt, modulus: int) -> FuzzyInt:
     """Reduce support values modulo ``modulus``, merging grades by max."""
     if modulus <= 0:
         raise ValueError("modulus must be positive")
-    lo = int(a._values[0])
-    hi = int(a._values[-1])
-    if 0 <= lo and hi < modulus:
+    if 0 <= a._values[0] and a._values[-1] < modulus:
         return a
-    if 0 <= lo and hi < 2 * modulus:
-        # common ring-advance shape: a short overflow past the seam
-        out = np.zeros(modulus, dtype=np.float64)
-        cut = int(np.searchsorted(a._values, modulus))
-        out[a._values[:cut]] = a._grades[:cut]
-        np.maximum.at(out, a._values[cut:] - modulus, a._grades[cut:])
-        return _from_dense(0, out)
-    best: dict[int, float] = {}
-    for v, g in zip(a._values.tolist(), a._grades.tolist()):
-        z = v % modulus
-        if g > best.get(z, 0.0):
-            best[z] = g
-    return _from_dict(best)
+    return _max_merge(a._values % modulus, a._grades)
 
 
 # ---------------------------------------------------------------------------

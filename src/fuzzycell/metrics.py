@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nasch as nasch_mod
+from .fuzznum import _supports
 from .model import FcmState, FcmVehicle, flow_summary, ring_state, run_ring
 from .simio import ScenarioValidationError
 
@@ -85,13 +86,6 @@ def queue_length(state: FcmState, initial_positions) -> dict[int, float]:
     )
     mu = np.minimum(prefix, suffix)
     return {x: float(mu[x]) for x in np.flatnonzero(mu > 0.0).tolist()}
-
-
-def _supports(numbers):
-    """Concatenated support values and grades of fuzzy integers, and their sizes."""
-    values = np.concatenate([f.values for f in numbers])
-    grades = np.concatenate([f.grades for f in numbers])
-    return values, grades, np.array([f.values.size for f in numbers])
 
 
 def queue_series(states, initial_positions) -> list[dict[int, float]]:

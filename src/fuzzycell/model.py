@@ -358,7 +358,7 @@ def _update(fleet, pos, origin, vel):
     velocity minimum never exceeds the row's own v_max <= cap, and its
     grades below depend only on suffix maxima of the gap, which merging
     into cap keeps.  Velocity: shifted copies for ``+ accel``, the
-    suffix-max formula of ``fuzznum._ext_min2`` for each minimum.
+    suffix-max formula of :func:`_min_rows` for each minimum.
     Position: the same shift sum, per-row dilation, truncation; a ring
     folds the overflow modulo its length, an open road trims zero
     columns and moves its origin.  Max and min only pick grades, so
@@ -424,7 +424,12 @@ def _add_rows(a, b):
 
 
 def _min_rows(a, b, b_tail):
-    """Row-wise ext_min of rows from value 0; ``b_tail`` is b's suffix max."""
+    """Row-wise ext_min of rows from value 0; ``b_tail`` is b's suffix max.
+
+    min(x, y) = z requires (x = z and y >= z) or (y = z and x >= z), so
+    mu(z) = max(min(mu_a(z), S_b(z)), min(mu_b(z), S_a(z))) with S the
+    suffix maximum of the other row's grades.
+    """
     k = b.shape[1]
     return np.maximum(np.minimum(a[:, :k], b_tail), np.minimum(b, _suffix_max(a)[:, :k]))
 

@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .fuzznum import FuzzyInt, FuzzyNumError, crisp, defuzz_argmax, make_fuzzy
+from .fuzznum import FuzzyInt, FuzzyNumError, _supports, crisp, defuzz_argmax, make_fuzzy
 from .model import FcmState, FcmVehicle, VehicleClass
 from .nasch import NaschState
 
@@ -464,8 +464,7 @@ def fcm_membership_row(state) -> np.ndarray:
     road = state.road_length
     row = np.zeros(road, dtype=np.float64)
     if state.vehicles:
-        values = np.concatenate([veh.position.values for veh in state.vehicles])
-        grades = np.concatenate([veh.position.grades for veh in state.vehicles])
+        values, grades, _ = _supports([veh.position for veh in state.vehicles])
         inside = (values >= 0) & (values < road)
         np.maximum.at(row, values[inside], grades[inside])
     return row

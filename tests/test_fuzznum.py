@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,8 @@ def test_ext_min_idempotent():
 def test_ext_min_needs_two_operands():
     with pytest.raises(TypeError):
         ext_min(crisp(1))
+    with pytest.raises(TypeError):
+        ext_min([crisp(1), crisp(2)])
 
 
 def test_operators_delegate():
@@ -245,13 +248,22 @@ _PRODUCTION = {"add": ext_add, "sub": ext_sub, "min": ext_min}
 @given(a=fuzzy_ints(), b=fuzzy_ints(), op=st.sampled_from(["add", "sub", "min"]))
 def test_production_matches_oracle(a, b, op):
     got = _PRODUCTION[op](a, b)
-    want = oracle_ext_op(op, a, b)
-    assert got.values.tolist() == want.values.tolist()
-    assert got.approx_equals(want, tol=1e-12)
+    assert got == oracle_ext_op(op, a, b)
+
+
+@settings(max_examples=150)
+@given(
+    a=fuzzy_ints(-(10**6), 10**6, max_size=24),
+    b=fuzzy_ints(-(10**6), 10**6, max_size=24),
+    op=st.sampled_from(["add", "sub", "min"]),
+)
+def test_production_matches_oracle_on_sparse_supports(a, b, op):
+    # up to 576 support pairs spread over two million cells
+    assert _PRODUCTION[op](a, b) == oracle_ext_op(op, a, b)
 
 
 def test_production_matches_oracle_on_wide_supports():
-    # forces the vectorized paths (support products above the small-case cutoff)
+    # dense supports of 20-90 values: up to 8100 support pairs per op
     rng = np.random.default_rng(12)
     for _ in range(60):
         fs = []
@@ -262,7 +274,38 @@ def test_production_matches_oracle_on_wide_supports():
             grades[rng.integers(n)] = 1.0
             fs.append(make_fuzzy(list(zip(values.tolist(), grades.tolist()))))
         for op, fn in _PRODUCTION.items():
-            assert fn(fs[0], fs[1]).approx_equals(oracle_ext_op(op, fs[0], fs[1]), tol=0)
+            assert fn(fs[0], fs[1]) == oracle_ext_op(op, fs[0], fs[1])
+
+
+def test_ext_ops_memory_follows_pairs_not_span():
+    # 17 x 16 support values over two million cells: 272 pairs
+    a = make_fuzzy([(v, 1.0 if v == 0 else 0.5) for v in range(-(10**6), 10**6 + 1, 125_000)])
+    b = make_fuzzy([(v, 1.0 if v == 0 else 0.3) for v in range(0, 10**6, 62_500)])
+    assert (len(a), len(b)) == (17, 16)
+    for op, fn in _PRODUCTION.items():
+        tracemalloc.start()
+        try:
+            got = fn(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, f"ext_{op} peaked at {peak / 1e6:.1f} MB"
+        assert got == oracle_ext_op(op, a, b)
+
+
+@settings(max_examples=150)
+@given(data=st.data(), modulus=st.integers(1, 40))
+def test_wrap_mod_matches_per_pair_reference(data, modulus):
+    f = data.draw(fuzzy_ints(-3 * modulus, 3 * modulus))
+    best = {}
+    for v, g in f.to_pairs():
+        z = v % modulus
+        best[z] = max(g, best.get(z, 0.0))
+    got = wrap_mod(f, modulus)
+    assert got.to_pairs() == sorted(best.items())
+    low, high = f.support()
+    if 0 <= low and high < modulus:
+        assert got is f
 
 
 @given(a=fuzzy_ints(), b=fuzzy_ints())
