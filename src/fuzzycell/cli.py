@@ -10,8 +10,10 @@ success, 1 on configuration or I/O failure, 2 on usage errors.
 Trajectory outputs are streamed: one simulation feeds every space-time
 image and fuzzy queue series of a command as its states arrive, and
 each state is dropped once its rows are written, so memory does not
-grow with the step count.  The ``wrote kind -> path`` lines follow the
-order in which the scenario declares its outputs.
+grow with the step count.  The fuzzy model's stream reads the engine's
+dense grade rows (:func:`model.iter_rows`) directly; no fuzzy set or
+vehicle object is built per step.  The ``wrote kind -> path`` lines
+follow the order in which the scenario declares its outputs.
 """
 
 from __future__ import annotations
@@ -138,14 +140,22 @@ def _stream(config, outputs) -> None:
 
     Each state becomes a space-time row and, for the fuzzy model, a queue
     length; both go to their open files and the state is dropped, so no
-    trajectory is kept.  Queue outputs need the fuzzy model.
+    trajectory is kept.  The fuzzy model is read straight from the
+    engine's rows (:func:`model.iter_rows`).  Queue outputs need the
+    fuzzy model.
     """
     if config.model == "fcm":
-        states = model.iter_states(simio.build_fcm_state(config), config.steps)
-        frame_row = simio.fcm_membership_row
+        frames = model.iter_rows(simio.build_fcm_state(config), config.steps)
+        road = config.road_length
         slots = [defuzz_argmax(e.position) for e in config.fleet]
+
+        def frame_row(rows):
+            return simio._membership_row_from_rows(rows[0], rows[1], road)
+
+        def queue_row(rows):
+            return metrics._queue_length_from_rows(*rows, slots)
     else:
-        states = nasch.iter_states(simio.build_nasch_state(config), config.steps)
+        frames = nasch.iter_states(simio.build_nasch_state(config), config.steps)
         frame_row = simio.nasch_occupancy_row
     with ExitStack() as stack:
         sinks = []
@@ -155,10 +165,10 @@ def _stream(config, outputs) -> None:
                 sinks.append((stack.enter_context(rows), frame_row))
             else:
                 write = stack.enter_context(simio.queue_rows(path, "grade"))
-                sinks.append((write, lambda state: metrics.queue_length(state, slots)))
-        for state in states:
+                sinks.append((write, queue_row))
+        for frame in frames:
             for write, row in sinks:
-                write(row(state))
+                write(row(frame))
 
 
 def _nasch_histogram(config):

@@ -221,20 +221,17 @@ def crisp(value: int) -> FuzzyInt:
     )
 
 
-def _supports(sets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenated support values and grades of many fuzzy sets, and their sizes."""
-    values = np.concatenate([f._values for f in sets])
-    grades = np.concatenate([f._grades for f in sets])
-    return values, grades, np.array([f._values.size for f in sets])
-
-
 def _dense_rows(sets, lo: int = 0, width: int | None = None) -> np.ndarray:
     """Embed many fuzzy sets as grade rows; column c holds value lo + c.
 
-    ``width`` defaults to the columns up to the largest support value.
+    ``width`` defaults to the columns up to the largest support value,
+    and to one column when there are no sets.
     """
-    values, grades, sizes = _supports(sets)
-    values = values - lo
+    if not sets:
+        return np.zeros((0, 1 if width is None else width), dtype=np.float64)
+    values = np.concatenate([f._values for f in sets]) - lo
+    grades = np.concatenate([f._grades for f in sets])
+    sizes = [f._values.size for f in sets]
     if width is None:
         width = int(values.max()) + 1
     grid = np.zeros((len(sets), width), dtype=np.float64)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nasch as nasch_mod
-from .fuzznum import _supports
-from .model import FcmState, FcmVehicle, flow_summary, ring_state, run_ring
+from .fuzznum import _dense_rows
+from .model import FcmState, FcmVehicle, _position_rows, flow_summary, ring_state, run_ring
 from .simio import ScenarioValidationError
 
 __all__ = [
@@ -64,22 +64,23 @@ def queue_length(state: FcmState, initial_positions) -> dict[int, float]:
     in-queue degrees are contradictory (a moving vehicle behind a queued
     one); it is returned unnormalized.  ``initial_positions`` holds one
     start cell per vehicle.  The degrees are those of
-    :func:`in_queue_degree`, read from the concatenated supports at once.
+    :func:`in_queue_degree`, read from the state's dense rows.
     """
-    n = len(state.vehicles)
-    slots = np.asarray(initial_positions, dtype=np.int64)
-    if slots.shape != (n,):
-        raise ValueError(f"{slots.size} start cells given for {n} vehicles")
+    pos, origin = _position_rows(state)
+    vel = _dense_rows([veh.velocity for veh in state.vehicles])
+    return _queue_length_from_rows(pos, origin, vel, initial_positions)
+
+
+def _queue_length_from_rows(pos, origin, vel, initial_positions) -> dict[int, float]:
+    """:func:`queue_length` of engine rows (see :func:`model.iter_rows`)."""
+    n, width = pos.shape
+    cols = np.asarray(initial_positions, dtype=np.int64) - origin
+    if cols.shape != (n,):
+        raise ValueError(f"{cols.size} start cells given for {n} vehicles")
+    inside = (cols >= 0) & (cols < width)
     degrees = np.zeros(n, dtype=np.float64)
-    if n:
-        values, grades, sizes = _supports([veh.position for veh in state.vehicles])
-        owner = np.repeat(np.arange(n), sizes)
-        at_slot = values == slots[owner]
-        degrees[owner[at_slot]] = grades[at_slot]  # supports are unique: one hit at most
-        values, grades, sizes = _supports([veh.velocity for veh in state.vehicles])
-        first = np.concatenate(([0], np.cumsum(sizes[:-1])))
-        # velocity supports are non-negative, so 0 can only be the first value
-        np.minimum(degrees, np.where(values[first] == 0, grades[first], 0.0), out=degrees)
+    degrees[inside] = pos[inside.nonzero()[0], cols[inside]]
+    np.minimum(degrees, vel[:, 0], out=degrees)  # velocity 0 is column 0
     prefix = np.concatenate(([1.0], np.minimum.accumulate(degrees)))
     suffix = np.concatenate(
         (np.minimum.accumulate((1.0 - degrees)[::-1])[::-1], [1.0])

@@ -19,7 +19,17 @@ snapshot:
 :func:`gap`, :func:`update_velocity`, :func:`dilation_exponent` and
 :func:`advance_position` are the reference per-vehicle operations.  One
 dense-row engine computes the same update for a whole open or ring road:
-:func:`step` applies it once, :func:`run_ring` many times.
+:func:`step` applies it once, :func:`run_ring` many times, and
+:func:`iter_rows` yields its grade rows state after state without
+building a fuzzy set per step; :func:`iter_states` turns those rows into
+states.
+
+On an open road the supports widen without bound, and this is model
+behaviour.  A class whose acceleration has a grade at 0 (``queue50``:
+0.2) keeps a grade at velocity 0 in every velocity support, so each
+position support keeps reaching back to the vehicle's start cell while
+its front moves on.  The ``queue50`` rows widen from 50 columns to 1648
+over 400 updates, and every support still begins at its start cell.
 """
 
 from __future__ import annotations
@@ -55,6 +65,7 @@ __all__ = [
     "cell_occupancy",
     "trajectory",
     "iter_states",
+    "iter_rows",
     "ring_state",
     "stopped_queue",
 ]
@@ -293,21 +304,41 @@ def _advance(state, steps, theta):
     last, fleet, rows = _last
     if state is not last:
         fleet = _Fleet(state)
-        positions = [veh.position for veh in state.vehicles]
-        origin = 0 if fleet.ring else min(int(p.values[0]) for p in positions)
-        pos = _dense_rows(positions, origin, state.road_length if fleet.ring else None)
-        vel = _dense_rows([veh.velocity for veh in state.vehicles], 0, fleet.cap + 1)
-        rows = (pos, origin, vel)
+        rows = _rows(state, fleet)
     for _ in range(steps):
         rows = _update(fleet, *rows)
         if flows is not None:
             flows.append(_flow_rows(rows[2], theta))
+    out = _materialize(state, rows, state.step + steps)
+    _last = (out, fleet, rows)
+    return out, flows
+
+
+def _position_rows(state):
+    """Dense position rows of a state and their origin: across the road
+    from cell 0 on a ring, from the lowest support value on an open road."""
+    positions = [veh.position for veh in state.vehicles]
+    if state.boundary == "ring":
+        return _dense_rows(positions, 0, state.road_length), 0
+    origin = min((int(p.values[0]) for p in positions), default=0)
+    return _dense_rows(positions, origin), origin
+
+
+def _rows(state, fleet):
+    """The read-only engine rows ``(pos, origin, vel)`` of a state."""
+    pos, origin = _position_rows(state)
+    vel = _dense_rows([veh.velocity for veh in state.vehicles], 0, fleet.cap + 1)
+    pos.setflags(write=False)
+    vel.setflags(write=False)
+    return pos, origin, vel
+
+
+def _materialize(state, rows, t):
+    """The state at step ``t`` holding ``state``'s vehicles with the given rows."""
     pos, origin, vel = rows
     updated = zip(state.vehicles, _from_dense_rows(origin, pos), _from_dense_rows(0, vel))
     vehicles = tuple(FcmVehicle(veh.index, veh.vclass, p, v) for veh, p, v in updated)
-    out = replace(state, vehicles=vehicles, step=state.step + steps)
-    _last = (out, fleet, rows)
-    return out, flows
+    return replace(state, vehicles=vehicles, step=t)
 
 
 class _Fleet:
@@ -406,6 +437,8 @@ def _update(fleet, pos, origin, vel):
         cells = moved.any(axis=0).nonzero()[0]
         origin += int(cells[0])
         pos = moved[:, cells[0] : cells[-1] + 1]
+    pos.setflags(write=False)  # the next update reads these rows
+    vel.setflags(write=False)
     return pos, origin, vel
 
 
@@ -470,11 +503,41 @@ def trajectory(state: FcmState, steps: int) -> list[FcmState]:
 
 
 def iter_states(state: FcmState, steps: int):
-    """Yield the initial state and then ``steps`` successive updates."""
-    yield state
-    for _ in range(steps):
-        state = step(state)
-        yield state
+    """Yield the initial state and then ``steps`` successive updates,
+    each materialized from the rows of :func:`iter_rows`."""
+    for t, rows in enumerate(iter_rows(state, steps)):
+        yield state if t == 0 else _materialize(state, rows, state.step + t)
+
+
+def iter_rows(state: FcmState, steps: int):
+    """Yield the engine rows ``(pos, origin, vel)`` of the initial state
+    and then of ``steps`` successive updates.
+
+    ``pos[i, c]`` is vehicle i's grade at cell origin + c (origin 0 and
+    one column per cell on a ring); ``vel[i, v]`` its grade at velocity
+    v, up to the largest v_max support value in the fleet.  The arrays
+    are read-only, since the next update reads them.  No fuzzy set is
+    built per step; ``_from_dense_rows`` turns the rows back into the
+    sets that :func:`step` gives.  A fleet with no vehicles yields rows
+    with no vehicle.
+    """
+    if not state.vehicles:
+        empty = _dense_rows([])
+        empty.setflags(write=False)
+        for _ in range(steps + 1):
+            yield empty, 0, empty
+        return
+    fleet = _Fleet(state)
+    yield _rows(state, fleet)
+    if steps < 1:
+        return
+    # The first update is a call to step: benchmarks time the run from the
+    # first call into the engine (step, run_ring or nasch.monte_carlo).
+    rows = _rows(step(state), fleet)
+    yield rows
+    for _ in range(steps - 1):
+        rows = _update(fleet, *rows)
+        yield rows
 
 
 def ring_state(

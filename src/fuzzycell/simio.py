@@ -44,8 +44,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .fuzznum import FuzzyInt, FuzzyNumError, _supports, crisp, defuzz_argmax, make_fuzzy
-from .model import FcmState, FcmVehicle, VehicleClass
+from .fuzznum import FuzzyInt, FuzzyNumError, crisp, defuzz_argmax, make_fuzzy
+from .model import FcmState, FcmVehicle, VehicleClass, _position_rows
 from .nasch import NaschState
 
 __all__ = [
@@ -461,12 +461,17 @@ def build_nasch_state(config: ScenarioConfig, seed: int | None = None) -> NaschS
 
 def fcm_membership_row(state) -> np.ndarray:
     """Per-cell maximal position membership over all vehicles of one state."""
-    road = state.road_length
-    row = np.zeros(road, dtype=np.float64)
-    if state.vehicles:
-        values, grades, _ = _supports([veh.position for veh in state.vehicles])
-        inside = (values >= 0) & (values < road)
-        np.maximum.at(row, values[inside], grades[inside])
+    pos, origin = _position_rows(state)
+    return _membership_row_from_rows(pos, origin, state.road_length)
+
+
+def _membership_row_from_rows(pos, origin: int, road_length: int) -> np.ndarray:
+    """:func:`fcm_membership_row` of engine rows (see :func:`model.iter_rows`):
+    the column maximum of ``pos``, placed at ``origin`` and clipped to the road."""
+    row = np.zeros(road_length, dtype=np.float64)
+    lo, hi = max(origin, 0), min(origin + pos.shape[1], road_length)
+    if lo < hi:
+        row[lo:hi] = pos[:, lo - origin : hi - origin].max(axis=0, initial=0.0)
     return row
 
 

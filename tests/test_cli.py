@@ -4,9 +4,18 @@ import tracemalloc
 
 import pytest
 
-from fuzzycell import model, nasch
+from fuzzycell import defuzz_argmax, model, nasch
 from fuzzycell.cli import build_parser, main
-from fuzzycell.simio import build_nasch_state, load_scenario, nasch_frames, write_spacetime
+from fuzzycell.metrics import queue_series
+from fuzzycell.simio import (
+    build_fcm_state,
+    build_nasch_state,
+    fcm_membership_frames,
+    load_scenario,
+    nasch_frames,
+    write_queue_csv,
+    write_spacetime,
+)
 
 SMALL_SCENARIO = """
 model: fcm
@@ -84,17 +93,17 @@ def test_run_writes_declared_outputs(small_scenario, tmp_path, capsys):
 
 def test_run_simulates_trajectory_once(small_scenario, tmp_path, monkeypatch):
     # the scenario declares a queue and a spacetime output; both are written
-    # from one simulated trajectory of 8 steps
+    # from one simulated trajectory of 8 engine updates
     calls = []
-    step = model.step
+    update = model._update
 
-    def counted(state):
-        calls.append(state.step)
-        return step(state)
+    def counted(*args):
+        calls.append(1)
+        return update(*args)
 
-    monkeypatch.setattr(model, "step", counted)
+    monkeypatch.setattr(model, "_update", counted)
     assert main(["run", str(small_scenario), "--out-dir", str(tmp_path)]) == 0
-    assert calls == list(range(8))
+    assert len(calls) == 8
 
 
 def test_output_order_does_not_change_bytes(tmp_path, capsys):
@@ -127,6 +136,49 @@ def test_run_streams_nasch_spacetime(tmp_path):
     expected = tmp_path / "expected.pgm"
     write_spacetime(nasch_frames(nasch.trajectory(build_nasch_state(config), 40)), expected)
     assert (tmp_path / "ring.pgm").read_bytes() == expected.read_bytes()
+
+
+MIXED_FCM_SCENARIO = """
+model: fcm
+road_length: 24
+boundary: {boundary}
+steps: 30
+alpha: 0.6
+epsilon: 0.02
+classes:
+  - name: car
+    length: [[0, 1.0], [1, 0.3]]
+    v_max: [[2, 0.2], [3, 1.0], [4, 0.2]]
+    accel: [[0, 0.2], [1, 1.0], [2, 0.2]]
+  - name: truck
+    length: [[1, 1.0], [2, 0.4]]
+    v_max: [[1, 0.3], [2, 1.0], [3, 0.3]]
+    accel: [[0, 0.5], [1, 1.0]]
+fleet:
+  - {{class: truck, position: [[1, 0.4], [2, 1.0], [3, 0.2]]}}
+  - {{class: car, position: 6, velocity: [[0, 1.0], [2, 0.5]]}}
+  - {{class: truck, position: [[11, 1.0], [12, 0.6]], velocity: 1}}
+  - {{class: car, position: [[17, 0.5], [18, 1.0]]}}
+outputs:
+  - {{kind: spacetime, path: mixed.pgm}}
+  - {{kind: queue, path: mixed_queue.csv}}
+"""
+
+
+@pytest.mark.parametrize("boundary", ["open", "ring"])
+def test_run_streams_fcm_rows_as_the_state_writers(tmp_path, boundary):
+    # the stream reads engine rows; its bytes equal the per-state functions'
+    text = MIXED_FCM_SCENARIO.format(boundary=boundary)
+    path = tmp_path / "mixed.yaml"
+    path.write_text(text)
+    assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 0
+    config = load_scenario(text)
+    states = model.trajectory(build_fcm_state(config), config.steps)
+    slots = [defuzz_argmax(e.position) for e in config.fleet]
+    write_spacetime(fcm_membership_frames(states), tmp_path / "expected.pgm")
+    write_queue_csv(queue_series(states, slots), tmp_path / "expected.csv")
+    assert (tmp_path / "mixed.pgm").read_bytes() == (tmp_path / "expected.pgm").read_bytes()
+    assert (tmp_path / "mixed_queue.csv").read_text() == (tmp_path / "expected.csv").read_text()
 
 
 RING_FCM_SCENARIO = """

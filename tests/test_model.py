@@ -5,7 +5,7 @@ import math
 import hypothesis.strategies as hs
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from fuzzycell import model
 from fuzzycell import (
@@ -29,7 +29,8 @@ from fuzzycell import (
     trajectory,
     update_velocity,
 )
-from fuzzycell.model import flow_summary, iter_states, run_ring
+from fuzzycell.fuzznum import _from_dense_rows
+from fuzzycell.model import flow_summary, iter_rows, iter_states, run_ring
 
 
 def fz(*pairs):
@@ -498,6 +499,45 @@ def test_run_ring_matches_repeated_step(st, steps, theta):
         assert a.position == b.position
         assert a.velocity == b.velocity
     assert flows == expected
+
+
+def _tiny_ring():
+    # cap + leader length (4 + 2) reaches around the 3-cell ring twice
+    cls = VehicleClass("c", fz((1, 1.0), (2, 0.5)), fz((2, 0.4), (4, 1.0)), fz((0, 0.3), (2, 1.0)))
+    vehicles = (FcmVehicle(0, cls, fz((0, 1.0), (2, 0.6)), crisp(0)),
+                FcmVehicle(1, cls, crisp(1), fz((0, 0.2), (3, 1.0))))
+    return FcmState(vehicles, 3, "ring", 0.3, 0.1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fleets(), hs.integers(0, 10))
+@example(FcmState((), 12, "open"), 3)
+@example(FcmState((), 5, "ring"), 0)
+@example(_tiny_ring(), 0)
+@example(_tiny_ring(), 8)
+def test_iter_rows_matches_repeated_step(st, steps):
+    reference = st
+    yielded = 0
+    for t, (pos, origin, vel) in enumerate(iter_rows(st, steps)):
+        if t:
+            reference = step(reference)
+        positions = _from_dense_rows(origin, pos)
+        velocities = _from_dense_rows(0, vel)
+        assert len(positions) == len(velocities) == len(reference.vehicles)
+        for veh, p, v in zip(reference.vehicles, positions, velocities):
+            assert p == veh.position and v == veh.velocity
+        yielded += 1
+    assert yielded == steps + 1
+
+
+@pytest.mark.parametrize("boundary", ["open", "ring"])
+def test_iter_rows_yields_read_only_rows(queue_class, boundary):
+    st = stopped_queue(queue_class, 4, 40) if boundary == "open" else ring_state(queue_class, 40, 4)
+    for pos, _, vel in iter_rows(st, 3):
+        with pytest.raises(ValueError):
+            pos[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            vel[0, 0] = 0.5
 
 
 # ---------------------------------------------------------------------------
