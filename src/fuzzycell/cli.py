@@ -150,10 +150,10 @@ def _stream(config, outputs) -> None:
         slots = [defuzz_argmax(e.position) for e in config.fleet]
 
         def frame_row(rows):
-            return simio._membership_row_from_rows(rows[0], rows[1], road)
+            return model.membership_of_rows(rows, road)
 
         def queue_row(rows):
-            return metrics._queue_length_from_rows(*rows, slots)
+            return model.queue_length_of_rows(rows, slots)
     else:
         frames = nasch.iter_states(simio.build_nasch_state(config), config.steps)
         frame_row = simio.nasch_occupancy_row

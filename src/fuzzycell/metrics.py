@@ -21,8 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nasch as nasch_mod
-from .fuzznum import _dense_rows
-from .model import FcmState, FcmVehicle, _position_rows, flow_summary, ring_state, run_ring
+from .model import (
+    FcmState,
+    FcmVehicle,
+    flow_summary,
+    iter_rows,
+    queue_length_of_rows,
+    ring_state,
+    run_ring,
+)
 from .simio import ScenarioValidationError
 
 __all__ = [
@@ -64,29 +71,9 @@ def queue_length(state: FcmState, initial_positions) -> dict[int, float]:
     in-queue degrees are contradictory (a moving vehicle behind a queued
     one); it is returned unnormalized.  ``initial_positions`` holds one
     start cell per vehicle.  The degrees are those of
-    :func:`in_queue_degree`, read from the state's dense rows.
+    :func:`in_queue_degree`, read from the state's engine rows.
     """
-    pos, origin = _position_rows(state)
-    vel = _dense_rows([veh.velocity for veh in state.vehicles])
-    return _queue_length_from_rows(pos, origin, vel, initial_positions)
-
-
-def _queue_length_from_rows(pos, origin, vel, initial_positions) -> dict[int, float]:
-    """:func:`queue_length` of engine rows (see :func:`model.iter_rows`)."""
-    n, width = pos.shape
-    cols = np.asarray(initial_positions, dtype=np.int64) - origin
-    if cols.shape != (n,):
-        raise ValueError(f"{cols.size} start cells given for {n} vehicles")
-    inside = (cols >= 0) & (cols < width)
-    degrees = np.zeros(n, dtype=np.float64)
-    degrees[inside] = pos[inside.nonzero()[0], cols[inside]]
-    np.minimum(degrees, vel[:, 0], out=degrees)  # velocity 0 is column 0
-    prefix = np.concatenate(([1.0], np.minimum.accumulate(degrees)))
-    suffix = np.concatenate(
-        (np.minimum.accumulate((1.0 - degrees)[::-1])[::-1], [1.0])
-    )
-    mu = np.minimum(prefix, suffix)
-    return {x: float(mu[x]) for x in np.flatnonzero(mu > 0.0).tolist()}
+    return queue_length_of_rows(next(iter_rows(state, 0)), initial_positions)
 
 
 def queue_series(states, initial_positions) -> list[dict[int, float]]:

@@ -22,7 +22,9 @@ dense-row engine computes the same update for a whole open or ring road:
 :func:`step` applies it once, :func:`run_ring` many times, and
 :func:`iter_rows` yields its grade rows state after state without
 building a fuzzy set per step; :func:`iter_states` turns those rows into
-states.
+states.  The row format stays in this module: :func:`membership_of_rows`
+and :func:`queue_length_of_rows` read the space-time row and the fuzzy
+queue length straight from the rows.
 
 On an open road the supports widen without bound, and this is model
 behaviour.  A class whose acceleration has a grade at 0 (``queue50``:
@@ -66,6 +68,8 @@ __all__ = [
     "trajectory",
     "iter_states",
     "iter_rows",
+    "membership_of_rows",
+    "queue_length_of_rows",
     "ring_state",
     "stopped_queue",
 ]
@@ -304,7 +308,7 @@ def _advance(state, steps, theta):
     last, fleet, rows = _last
     if state is not last:
         fleet = _Fleet(state)
-        rows = _rows(state, fleet)
+        rows = _rows(state, fleet.cap)
     for _ in range(steps):
         rows = _update(fleet, *rows)
         if flows is not None:
@@ -324,10 +328,11 @@ def _position_rows(state):
     return _dense_rows(positions, origin), origin
 
 
-def _rows(state, fleet):
-    """The read-only engine rows ``(pos, origin, vel)`` of a state."""
+def _rows(state, cap):
+    """The read-only engine rows ``(pos, origin, vel)`` of a state, with
+    velocity columns up to ``cap``."""
     pos, origin = _position_rows(state)
-    vel = _dense_rows([veh.velocity for veh in state.vehicles], 0, fleet.cap + 1)
+    vel = _dense_rows([veh.velocity for veh in state.vehicles], 0, cap + 1)
     pos.setflags(write=False)
     vel.setflags(write=False)
     return pos, origin, vel
@@ -339,6 +344,11 @@ def _materialize(state, rows, t):
     updated = zip(state.vehicles, _from_dense_rows(origin, pos), _from_dense_rows(0, vel))
     vehicles = tuple(FcmVehicle(veh.index, veh.vclass, p, v) for veh, p, v in updated)
     return replace(state, vehicles=vehicles, step=t)
+
+
+def _velocity_cap(state):
+    """The largest v_max support value in the fleet: the last velocity column."""
+    return max(int(veh.vclass.v_max.values[-1]) for veh in state.vehicles)
 
 
 class _Fleet:
@@ -357,7 +367,7 @@ class _Fleet:
         self.free = self.leader < 0
         self.ring = state.boundary == "ring"
         self.alpha, self.epsilon = state.alpha, state.epsilon
-        self.cap = max(int(c.v_max.values[-1]) for c in classes)
+        self.cap = _velocity_cap(state)
         self.vmax = _dense_rows([c.v_max for c in classes])[kind]
         self.vmax_hat = self.vmax.argmax(axis=1).tolist()  # defuzz_argmax of each row
         if 0 in self.vmax_hat:
@@ -527,17 +537,55 @@ def iter_rows(state: FcmState, steps: int):
         for _ in range(steps + 1):
             yield empty, 0, empty
         return
-    fleet = _Fleet(state)
-    yield _rows(state, fleet)
+    yield _rows(state, _velocity_cap(state))
     if steps < 1:
         return
     # The first update is a call to step: benchmarks time the run from the
     # first call into the engine (step, run_ring or nasch.monte_carlo).
-    rows = _rows(step(state), fleet)
+    following = step(state)
+    fleet = _Fleet(state)
+    rows = _rows(following, fleet.cap)
     yield rows
     for _ in range(steps - 1):
         rows = _update(fleet, *rows)
         yield rows
+
+
+def membership_of_rows(rows, road_length: int) -> np.ndarray:
+    """Per-cell maximal position grade over the vehicles of engine rows
+    (:func:`iter_rows`): the column maximum of ``pos``, placed at
+    ``origin`` and clipped to ``[0, road_length)``."""
+    pos, origin, _ = rows
+    row = np.zeros(road_length, dtype=np.float64)
+    lo, hi = max(origin, 0), min(origin + pos.shape[1], road_length)
+    if lo < hi:
+        row[lo:hi] = pos[:, lo - origin : hi - origin].max(axis=0, initial=0.0)
+    return row
+
+
+def queue_length_of_rows(rows, initial_positions) -> dict[int, float]:
+    """Fuzzy queue length of engine rows (:func:`iter_rows`), as
+    ``metrics.queue_length`` defines it.
+
+    Vehicle i's in-queue degree is ``pos[i, slot_i - origin]`` (0 outside
+    the row) min ``vel[i, 0]``; entry x of the result is the minimum of
+    the rear x degrees and of the negated rest, zeros pruned.
+    """
+    pos, origin, vel = rows
+    n, width = pos.shape
+    cols = np.asarray(initial_positions, dtype=np.int64) - origin
+    if cols.shape != (n,):
+        raise ValueError(f"{cols.size} start cells given for {n} vehicles")
+    inside = (cols >= 0) & (cols < width)
+    degrees = np.zeros(n, dtype=np.float64)
+    degrees[inside] = pos[inside.nonzero()[0], cols[inside]]
+    np.minimum(degrees, vel[:, 0], out=degrees)  # velocity 0 is column 0
+    prefix = np.concatenate(([1.0], np.minimum.accumulate(degrees)))
+    suffix = np.concatenate(
+        (np.minimum.accumulate((1.0 - degrees)[::-1])[::-1], [1.0])
+    )
+    mu = np.minimum(prefix, suffix)
+    return {x: float(mu[x]) for x in np.flatnonzero(mu > 0.0).tolist()}
 
 
 def ring_state(

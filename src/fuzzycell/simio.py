@@ -45,7 +45,7 @@ import numpy as np
 import yaml
 
 from .fuzznum import FuzzyInt, FuzzyNumError, crisp, defuzz_argmax, make_fuzzy
-from .model import FcmState, FcmVehicle, VehicleClass, _position_rows
+from .model import FcmState, FcmVehicle, VehicleClass, iter_rows, membership_of_rows
 from .nasch import NaschState
 
 __all__ = [
@@ -461,18 +461,7 @@ def build_nasch_state(config: ScenarioConfig, seed: int | None = None) -> NaschS
 
 def fcm_membership_row(state) -> np.ndarray:
     """Per-cell maximal position membership over all vehicles of one state."""
-    pos, origin = _position_rows(state)
-    return _membership_row_from_rows(pos, origin, state.road_length)
-
-
-def _membership_row_from_rows(pos, origin: int, road_length: int) -> np.ndarray:
-    """:func:`fcm_membership_row` of engine rows (see :func:`model.iter_rows`):
-    the column maximum of ``pos``, placed at ``origin`` and clipped to the road."""
-    row = np.zeros(road_length, dtype=np.float64)
-    lo, hi = max(origin, 0), min(origin + pos.shape[1], road_length)
-    if lo < hi:
-        row[lo:hi] = pos[:, lo - origin : hi - origin].max(axis=0, initial=0.0)
-    return row
+    return membership_of_rows(next(iter_rows(state, 0)), state.road_length)
 
 
 def nasch_occupancy_row(state) -> np.ndarray:

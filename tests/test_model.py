@@ -540,6 +540,16 @@ def test_iter_rows_yields_read_only_rows(queue_class, boundary):
             vel[0, 0] = 0.5
 
 
+def test_degenerate_class_raises_at_the_first_update():
+    cls = VehicleClass("d", crisp(1), fz((0, 1.0), (2, 0.4)), crisp(1))
+    st = FcmState((FcmVehicle(0, cls, crisp(3), crisp(0)),), 20, "open")
+    assert trajectory(st, 0) == [st]
+    states = iter_states(st, 2)
+    assert next(states) is st
+    with pytest.raises(DegenerateClassError):
+        next(states)
+
+
 # ---------------------------------------------------------------------------
 # trajectory-level properties
 

@@ -3,14 +3,16 @@
 Usage, from anywhere:
 
     python3 tools/bench_record.py --checkout parent=PATH --checkout change=PATH \
-        --seed 61 --repeats 10 --out BENCH_6.json
+        --seed 61 --out BENCH_6.json
 
-For each repeat and each workload, the recorder runs
+For each repeat and each of the four workloads, the recorder runs
 ``bench/run.py --workload W --seed S --seconds T --trace 0`` once in
 every checkout, alternating which checkout goes first from one repeat
-to the next, so that both sides share the host's speed drift.  Each
-checkout runs its own ``bench/run.py`` on its own ``src/``.  It then
-times the checkout's tier-1 suite once.
+to the next, so that both sides share the host's speed drift.  T is
+``run_seconds`` from the first checkout's ``BENCHMARK.json``.  The
+default of ten repeats gives the ten alternating pairs that a claimed
+gain is judged on.  Each checkout runs its own ``bench/run.py`` on its
+own ``src/``.  It then times the checkout's tier-1 suite once.
 
 The output holds the machine (CPU model, cores, Python, numpy), the
 settings, and per checkout its git revision and ``src/`` sha256 (from
@@ -89,10 +91,7 @@ def main(argv=None) -> int:
     parser.add_argument("--checkout", action="append", required=True, metavar="LABEL=PATH",
                         help="a labelled checkout root holding bench/ and src/; repeatable")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length per bench/run.py call (default: BENCHMARK.json)")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS, default=None)
+    parser.add_argument("--repeats", type=int, default=10)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
@@ -103,15 +102,14 @@ def main(argv=None) -> int:
             parser.error(f"--checkout {spec!r}: expected LABEL=PATH")
         checkouts[label] = Path(path).resolve()
     first = next(iter(checkouts.values()))
-    seconds = args.seconds or json.loads((first / "BENCHMARK.json").read_text())["run_seconds"]
-    workloads = args.workload or list(WORKLOADS)
+    seconds = json.loads((first / "BENCHMARK.json").read_text())["run_seconds"]
 
-    runs = {label: {w: [] for w in workloads} for label in checkouts}
+    runs = {label: {w: [] for w in WORKLOADS} for label in checkouts}
     for repeat in range(args.repeats):
         order = list(checkouts.items())
         if repeat % 2:
             order.reverse()
-        for workload in workloads:
+        for workload in WORKLOADS:
             for label, root in order:
                 runs[label][workload].append(run_bench(root, workload, args.seed, seconds))
                 metrics = runs[label][workload][-1]["result"]["metrics"]
