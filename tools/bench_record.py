@@ -9,9 +9,9 @@ For each repeat and each of the four workloads, the recorder runs
 ``bench/run.py --workload W --seed S --seconds T --trace 0`` once in
 every checkout, alternating which checkout goes first from one repeat
 to the next, so that both sides share the host's speed drift.  T is
-``run_seconds`` from the first checkout's ``BENCHMARK.json``.  The
-default of ten repeats gives the ten alternating pairs that a claimed
-gain is judged on.  Each checkout runs its own ``bench/run.py`` on its
+``run_seconds`` from the first checkout's ``BENCHMARK.json``.  Ten
+repeats give the ten alternating pairs that a claimed gain is judged
+on.  Each checkout runs its own ``bench/run.py`` on its
 own ``src/``.  It then times the checkout's tier-1 suite once.
 
 The output holds the machine (CPU model, cores, Python, numpy), the
@@ -35,6 +35,7 @@ import time
 from pathlib import Path
 
 WORKLOADS = ("ring_fd", "open_queue", "nasch_fd", "fuzzy_ops")
+REPEATS = 10
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
 
@@ -91,7 +92,6 @@ def main(argv=None) -> int:
     parser.add_argument("--checkout", action="append", required=True, metavar="LABEL=PATH",
                         help="a labelled checkout root holding bench/ and src/; repeatable")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--repeats", type=int, default=10)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
@@ -105,7 +105,7 @@ def main(argv=None) -> int:
     seconds = json.loads((first / "BENCHMARK.json").read_text())["run_seconds"]
 
     runs = {label: {w: [] for w in WORKLOADS} for label in checkouts}
-    for repeat in range(args.repeats):
+    for repeat in range(REPEATS):
         order = list(checkouts.items())
         if repeat % 2:
             order.reverse()
@@ -117,7 +117,7 @@ def main(argv=None) -> int:
                       f"wall_ref_s {metrics['wall_ref_s']['value']:.4f}", flush=True)
 
     record = {"machine": machine(),
-              "settings": {"seed": args.seed, "repeats": args.repeats, "seconds": seconds,
+              "settings": {"seed": args.seed, "repeats": REPEATS, "seconds": seconds,
                            "command": "bench/run.py --trace 0"},
               "checkouts": {}}
     for label, root in checkouts.items():
