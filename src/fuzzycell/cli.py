@@ -84,16 +84,11 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     config, stem = _load(args.scenario)
     if args.steps is not None:
-        if args.steps < 1:
-            raise ValueError("--steps must be at least 1")
         config = replace(config, steps=args.steps)
     if args.alpha is not None:
-        if not 0.0 <= args.alpha <= 1.0:
-            raise ValueError("--alpha must lie in [0, 1]")
         config = replace(config, alpha=args.alpha)
     if args.seed is not None:
-        ns = config.nasch if config.nasch is not None else simio.NaschSettings()
-        config = replace(config, nasch=replace(ns, base_seed=args.seed))
+        config = replace(config, nasch=replace(config.nasch, base_seed=args.seed))
     out_dir = Path(args.out_dir or os.environ.get(OUT_DIR_ENV) or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -172,7 +167,7 @@ def _stream(config, outputs) -> None:
 
 
 def _nasch_histogram(config):
-    ns = config.nasch if config.nasch is not None else simio.NaschSettings()
+    ns = config.nasch
     initial = simio.build_nasch_state(config)
     ensemble = nasch.monte_carlo(initial, config.steps, ns.runs, ns.base_seed)
     return metrics.empirical_queue_distribution(ensemble)

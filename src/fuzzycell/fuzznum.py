@@ -125,13 +125,6 @@ class FuzzyInt:
     def to_pairs(self) -> list[tuple[int, float]]:
         return list(zip(self._values.tolist(), self._grades.tolist()))
 
-    def approx_equals(self, other: "FuzzyInt", tol: float = 1e-12) -> bool:
-        """Same support and grades equal within absolute tolerance."""
-        return bool(
-            np.array_equal(self._values, other._values)
-            and np.allclose(self._grades, other._grades, rtol=0.0, atol=tol)
-        )
-
     def __len__(self) -> int:
         return int(self._values.size)
 

@@ -1,4 +1,4 @@
-"""Observables: fuzzy queue lengths, flow summaries, fundamental diagrams.
+"""Observables: fuzzy queue lengths, fundamental diagrams, ensemble histograms.
 
 The fuzzy queue length follows a graded prefix rule: the queue has
 length x to the degree that vehicles 0..x-1 (counted from the rear) are
@@ -8,15 +8,18 @@ involved degrees can leave no length fully possible (sub-normal), which
 the plotting side renders as-is.
 
 Flow on a ring is the extension-principle sum of all vehicle velocities
-scaled by 1/road_length.  Its defuzzified value and cut bounds are
-computed per vehicle and summed, which is exact: the grade-1 optimum and
-the threshold cuts of a max-min sum both add up over the operands (the
-test suite checks this against explicitly folded sums).
+scaled by 1/road_length.  It has one implementation in the model:
+:func:`model.flow_summary` gives one state's defuzzified sum and cut
+bounds, and :func:`model.run_ring` returns that triple after every
+step, which the diagram sweep averages.  The sums are computed per
+vehicle and added, which is exact: the grade-1 optimum and the
+threshold cuts of a max-min sum both add up over the operands (the test
+suite checks this against explicitly folded sums).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +27,6 @@ from . import nasch as nasch_mod
 from .model import (
     FcmState,
     FcmVehicle,
-    flow_summary,
     iter_rows,
     queue_length_of_rows,
     ring_state,
@@ -33,25 +35,17 @@ from .model import (
 from .simio import ScenarioValidationError
 
 __all__ = [
-    "InsufficientStepsError",
-    "FlowSummary",
     "FdPoint",
     "NaschFdPoint",
     "in_queue_degree",
     "queue_length",
     "queue_series",
     "argmax_grade",
-    "step_flow",
-    "fuzzy_flow",
     "sweep_fundamental_diagram",
     "empirical_queue_distribution",
     "modal_series",
     "is_unimodal",
 ]
-
-
-class InsufficientStepsError(ValueError):
-    """Raised when a state series is too short for the warmup."""
 
 
 def in_queue_degree(vehicle: FcmVehicle, initial_position: int) -> float:
@@ -95,42 +89,6 @@ def argmax_grade(dist: dict[int, float]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# flow
-
-
-@dataclass(frozen=True)
-class FlowSummary:
-    """Aggregated fuzzy flow: defuzzified value and cut bounds (veh/step/cell)."""
-
-    argmax: float
-    cut_low: float
-    cut_high: float
-
-
-def step_flow(state: FcmState, theta: float = 0.99) -> tuple[float, float, float]:
-    """One step's fuzzy flow triple (argmax, cut low, cut high) per cell."""
-    s_hat, s_lo, s_hi = flow_summary(state, theta)
-    c = state.road_length
-    return (s_hat / c, s_lo / c, s_hi / c)
-
-
-def fuzzy_flow(states, warmup: int, theta: float = 0.99) -> FlowSummary:
-    """Mean fuzzy flow over a trajectory after discarding the warmup.
-
-    ``states[0]`` is the initial state; it and the first ``warmup``
-    updates are discarded.
-    """
-    measured = list(states)[warmup + 1 :]
-    if not measured:
-        raise InsufficientStepsError(
-            f"series of {len(list(states))} states cannot cover warmup {warmup}"
-        )
-    triples = np.array([step_flow(s, theta) for s in measured])
-    mean = triples.mean(axis=0)
-    return FlowSummary(float(mean[0]), float(mean[1]), float(mean[2]))
-
-
-# ---------------------------------------------------------------------------
 # fundamental diagrams
 
 
@@ -166,47 +124,35 @@ def sweep_fundamental_diagram(config, densities=None, warmup=None, window=None):
 
     ``config`` is a scenario configuration on a ring road; its first
     vehicle class defines the fleet.  Explicit arguments override the
-    scenario's diagram settings.  Returns FdPoint or NaschFdPoint entries
-    in density order.
+    scenario's diagram settings and pass the same checks.  Returns
+    FdPoint or NaschFdPoint entries in density order.
     """
     if config.boundary != "ring":
         raise ScenarioValidationError(
             f"fundamental diagrams need a ring road, not boundary {config.boundary!r}"
         )
-    fd = config.fd
-    if densities is None:
-        if fd is None or not fd.densities:
-            raise ValueError("no densities configured for the diagram sweep")
-        densities = fd.densities
-    warmup = (fd.warmup if fd else 100) if warmup is None else warmup
-    window = (fd.window if fd else 500) if window is None else window
-    theta = fd.theta if fd else 0.99
-    threshold = fd.nasch_threshold if fd else 0.1
-    estimator = fd.estimator if fd else "mean_velocity"
+    given = {"densities": densities, "warmup": warmup, "window": window}
+    fd = replace(config.fd, **{k: v for k, v in given.items() if v is not None})
+    if not fd.densities:
+        raise ValueError("no densities configured for the diagram sweep")
     road = config.road_length
     points = []
-    for k, density in enumerate(densities):
-        if not 0.0 < density <= 1.0:
-            raise ValueError(f"density {density} outside (0, 1]")
+    for k, density in enumerate(fd.densities):
         count = round(density * road)
         if count < 1:
             raise ValueError(f"density {density} places no vehicle on {road} cells")
         if config.model == "fcm":
-            points.append(
-                _fcm_point(config, count, warmup, window, theta)
-            )
+            points.append(_fcm_point(config, count, fd))
         else:
-            points.append(
-                _nasch_point(config, count, k, warmup, window, threshold, estimator)
-            )
+            points.append(_nasch_point(config, count, k, fd))
     return points
 
 
-def _fcm_point(config, count, warmup, window, theta):
+def _fcm_point(config, count, fd):
     vclass = config.classes[0]
     initial = ring_state(vclass, config.road_length, count, config.alpha, config.epsilon)
-    _, flows = run_ring(initial, warmup + window, theta=theta)
-    rows = np.array(flows[warmup:], dtype=np.float64) / config.road_length
+    _, flows = run_ring(initial, fd.warmup + fd.window, theta=fd.theta)
+    rows = np.array(flows[fd.warmup:], dtype=np.float64) / config.road_length
     mean = rows.mean(axis=0)
     return FdPoint(
         density=count / config.road_length,
@@ -216,19 +162,19 @@ def _fcm_point(config, count, warmup, window, theta):
     )
 
 
-def _nasch_point(config, count, index, warmup, window, threshold, estimator):
+def _nasch_point(config, count, index, fd):
     ns = config.nasch
     initial = nasch_mod.ring_uniform(count, config.road_length, ns.v_max, ns.p)
     base = ns.base_seed + index * ns.runs  # disjoint seed block per density
-    ens = nasch_mod.monte_carlo(initial, warmup + window, ns.runs, base)
-    if estimator == "site_count":
-        samples = ens.crossings[:, warmup:].astype(np.float64)
+    ens = nasch_mod.monte_carlo(initial, fd.warmup + fd.window, ns.runs, base)
+    if fd.estimator == "site_count":
+        samples = ens.crossings[:, fd.warmup:].astype(np.float64)
     else:
-        samples = ens.total_velocity[:, warmup:] / config.road_length
+        samples = ens.total_velocity[:, fd.warmup:] / config.road_length
     flat = samples.ravel()
     values, counts = np.unique(flat, return_counts=True)
     probs = counts / flat.size
-    keep = probs >= threshold
+    keep = probs >= fd.nasch_threshold
     states = tuple(
         (float(v), float(p)) for v, p in zip(values[keep], probs[keep])
     )

@@ -24,6 +24,12 @@ to a stopped column at load time, so a loaded configuration always
 carries the full fleet.  Serialization with :func:`dump_scenario`
 round-trips through :func:`load_scenario` unchanged.
 
+The config types hold every scenario default and check themselves on
+construction and on ``dataclasses.replace``, raising a field-path
+:class:`ScenarioValidationError`; :func:`load_scenario` only parses.  A
+document, a command-line override and a sweep argument pass the same
+checks.  An omitted ``nasch`` or ``fd`` block takes the defaults.
+
 Outputs: CSV time series with ``repr``-formatted floats (stable bytes
 for golden-file comparison) and binary PGM (P5) space-time images, one
 row per time step, one column per cell, black = membership 1.  Both are
@@ -37,7 +43,7 @@ through the same writers.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -45,7 +51,7 @@ import numpy as np
 import yaml
 
 from .fuzznum import FuzzyInt, FuzzyNumError, crisp, defuzz_argmax, make_fuzzy
-from .model import FcmState, FcmVehicle, VehicleClass, iter_rows, membership_of_rows
+from .model import BOUNDARIES, FcmState, FcmVehicle, VehicleClass, iter_rows, membership_of_rows
 from .nasch import NaschState
 
 __all__ = [
@@ -75,6 +81,7 @@ __all__ = [
     "write_fd_csv",
 ]
 
+MODELS = ("fcm", "nasch")
 OUTPUT_KINDS = ("spacetime", "queue", "fundamental")
 ESTIMATORS = ("mean_velocity", "site_count")
 
@@ -111,6 +118,15 @@ class NaschSettings:
     runs: int = 200
     base_seed: int = 13000
 
+    def __post_init__(self):
+        path = "scenario.nasch"
+        if self.v_max < 1:
+            raise ScenarioValidationError(f"{path}.v_max: must be at least 1")
+        if not 0.0 <= self.p <= 1.0:
+            raise ScenarioValidationError(f"{path}.p: must lie in [0, 1]")
+        if self.runs < 1:
+            raise ScenarioValidationError(f"{path}.runs: must be at least 1")
+
 
 @dataclass(frozen=True)
 class FdSettings:
@@ -121,20 +137,72 @@ class FdSettings:
     nasch_threshold: float = 0.1
     theta: float = 0.99
 
+    def __post_init__(self):
+        path = "scenario.fd"
+        for d in self.densities:
+            if isinstance(d, bool) or not isinstance(d, (int, float)) or not 0.0 < d <= 1.0:
+                raise ScenarioValidationError(f"{path}.densities: {d!r} outside (0, 1]")
+        object.__setattr__(self, "densities", tuple(float(d) for d in self.densities))
+        if self.estimator not in ESTIMATORS:
+            raise ScenarioValidationError(
+                f"{path}.estimator: unknown estimator {self.estimator!r}"
+            )
+        if self.warmup < 0 or self.window < 1:
+            raise ScenarioValidationError(f"{path}: warmup must be >= 0 and window >= 1")
+        if not 0.0 < self.theta <= 1.0:
+            raise ScenarioValidationError(f"{path}.theta: must lie in (0, 1]")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
+    """A scenario.  Fleet entries and output kinds are checked here, not in
+    their own types, because the error's field path needs their index."""
+
     model: str
     road_length: int
-    boundary: str
+    boundary: str = "open"
     steps: int
-    alpha: float
-    epsilon: float
+    alpha: float = 0.9
+    epsilon: float = 0.01
     classes: tuple[VehicleClass, ...]
-    fleet: tuple[FleetEntry, ...]
-    nasch: NaschSettings | None = None
-    fd: FdSettings | None = None
+    fleet: tuple[FleetEntry, ...] = ()
+    nasch: NaschSettings = field(default_factory=NaschSettings)
+    fd: FdSettings = field(default_factory=FdSettings)
     outputs: tuple[OutputSpec, ...] = ()
+
+    def __post_init__(self):
+        if self.model not in MODELS:
+            raise ScenarioValidationError(f"scenario.model: unknown model {self.model!r}")
+        if self.boundary not in BOUNDARIES:
+            raise ScenarioValidationError(f"scenario.boundary: unknown boundary {self.boundary!r}")
+        if self.steps < 1:
+            raise ScenarioValidationError("scenario.steps: must be at least 1")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ScenarioValidationError("scenario.alpha: must lie in [0, 1]")
+        if not 0.0 <= self.epsilon < 1.0:
+            raise ScenarioValidationError("scenario.epsilon: must lie in [0, 1)")
+        if not self.classes:
+            raise ScenarioValidationError("scenario.classes: at least one class required")
+        names = {c.name for c in self.classes}
+        if len(names) != len(self.classes):
+            raise ScenarioValidationError("scenario.classes: class names must be unique")
+        for i, entry in enumerate(self.fleet):
+            path = f"scenario.fleet[{i}]"
+            if entry.class_name not in names:
+                raise ScenarioValidationError(f"{path}.class: unknown class {entry.class_name!r}")
+            if self.boundary == "ring" and int(entry.position.values[-1]) >= self.road_length:
+                raise ScenarioValidationError(f"{path}.position: support exceeds the ring length")
+            if int(entry.position.values[0]) < 0:
+                raise ScenarioValidationError(f"{path}.position: support must be non-negative")
+            if self.model == "nasch" and not (entry.position.is_crisp and entry.velocity.is_crisp):
+                raise ScenarioValidationError(
+                    f"{path}: the nasch model needs crisp positions and velocities"
+                )
+        for i, out in enumerate(self.outputs):
+            if out.kind not in OUTPUT_KINDS:
+                raise ScenarioValidationError(
+                    f"scenario.outputs[{i}].kind: unknown output kind {out.kind!r}"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +243,7 @@ def _fuzzy_literal(raw, path) -> FuzzyInt:
 
 
 def load_scenario(text: str) -> ScenarioConfig:
-    """Parse and validate a scenario document."""
+    """Parse a scenario document; the config types check its values."""
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -184,27 +252,14 @@ def load_scenario(text: str) -> ScenarioConfig:
         raise ScenarioParseError("scenario document must be a mapping")
 
     model = _need(doc, "model", str, "scenario")
-    if model not in ("fcm", "nasch"):
-        raise ScenarioValidationError(f"scenario.model: unknown model {model!r}")
     road_length = _need(doc, "road_length", int, "scenario")
-    boundary = _get(doc, "boundary", str, "scenario", "open")
-    if boundary not in ("open", "ring"):
-        raise ScenarioValidationError(f"scenario.boundary: unknown boundary {boundary!r}")
+    boundary = _get(doc, "boundary", str, "scenario", ScenarioConfig.boundary)
     steps = _need(doc, "steps", int, "scenario")
-    if steps < 1:
-        raise ScenarioValidationError("scenario.steps: must be at least 1")
-    alpha = float(_get(doc, "alpha", (int, float), "scenario", 0.9))
-    if not 0.0 <= alpha <= 1.0:
-        raise ScenarioValidationError("scenario.alpha: must lie in [0, 1]")
-    epsilon = float(_get(doc, "epsilon", (int, float), "scenario", 0.01))
-    if not 0.0 <= epsilon < 1.0:
-        raise ScenarioValidationError("scenario.epsilon: must lie in [0, 1)")
+    alpha = float(_get(doc, "alpha", (int, float), "scenario", ScenarioConfig.alpha))
+    epsilon = float(_get(doc, "epsilon", (int, float), "scenario", ScenarioConfig.epsilon))
 
-    raw_classes = _need(doc, "classes", list, "scenario")
-    if not raw_classes:
-        raise ScenarioValidationError("scenario.classes: at least one class required")
     classes = []
-    for i, raw in enumerate(raw_classes):
+    for i, raw in enumerate(_need(doc, "classes", list, "scenario")):
         path = f"scenario.classes[{i}]"
         if not isinstance(raw, dict):
             raise ScenarioParseError(f"{path}: expected a mapping")
@@ -221,9 +276,6 @@ def load_scenario(text: str) -> ScenarioConfig:
                 raise
             raise ScenarioValidationError(f"{path}: {exc}") from exc
         classes.append(cls)
-    by_name = {c.name: c for c in classes}
-    if len(by_name) != len(classes):
-        raise ScenarioValidationError("scenario.classes: class names must be unique")
 
     fleet = []
     for i, raw in enumerate(_get(doc, "fleet", list, "scenario", [])):
@@ -231,8 +283,6 @@ def load_scenario(text: str) -> ScenarioConfig:
         if not isinstance(raw, dict):
             raise ScenarioParseError(f"{path}: expected a mapping")
         cname = _need(raw, "class", str, path)
-        if cname not in by_name:
-            raise ScenarioValidationError(f"{path}.class: unknown class {cname!r}")
         position = _fuzzy_literal(_need(raw, "position", (int, list), path), f"{path}.position")
         velocity = _fuzzy_literal(_get(raw, "velocity", (int, list), path, 0), f"{path}.velocity")
         fleet.append(FleetEntry(cname, position, velocity))
@@ -240,7 +290,7 @@ def load_scenario(text: str) -> ScenarioConfig:
     if queue_raw is not None:
         path = "scenario.queue"
         cname = _need(queue_raw, "class", str, path)
-        if cname not in by_name:
+        if cname not in {c.name for c in classes}:
             raise ScenarioValidationError(f"{path}.class: unknown class {cname!r}")
         count = _need(queue_raw, "count", int, path)
         if count < 1:
@@ -252,78 +302,40 @@ def load_scenario(text: str) -> ScenarioConfig:
         for k in range(count):
             fleet.append(FleetEntry(cname, crisp(start + k * spacing), crisp(0)))
 
-    for i, entry in enumerate(fleet):
-        if boundary == "ring" and int(entry.position.values[-1]) >= road_length:
-            raise ScenarioValidationError(
-                f"scenario.fleet[{i}].position: support exceeds the ring length"
-            )
-        if int(entry.position.values[0]) < 0:
-            raise ScenarioValidationError(
-                f"scenario.fleet[{i}].position: support must be non-negative"
-            )
+    nasch_raw = _get(doc, "nasch", dict, "scenario", {})
+    path = "scenario.nasch"
+    nasch = NaschSettings(
+        v_max=_get(nasch_raw, "v_max", int, path, NaschSettings.v_max),
+        p=float(_get(nasch_raw, "p", (int, float), path, NaschSettings.p)),
+        runs=_get(nasch_raw, "runs", int, path, NaschSettings.runs),
+        base_seed=_get(nasch_raw, "base_seed", int, path, NaschSettings.base_seed),
+    )
 
-    nasch_raw = _get(doc, "nasch", dict, "scenario", None)
-    nasch_settings = None
-    if nasch_raw is not None:
-        path = "scenario.nasch"
-        nasch_settings = NaschSettings(
-            v_max=_get(nasch_raw, "v_max", int, path, 3),
-            p=float(_get(nasch_raw, "p", (int, float), path, 0.2)),
-            runs=_get(nasch_raw, "runs", int, path, 200),
-            base_seed=_get(nasch_raw, "base_seed", int, path, 13000),
+    fd_raw = _get(doc, "fd", dict, "scenario", {})
+    path = "scenario.fd"
+    fd = FdSettings(
+        densities=_get(fd_raw, "densities", list, path, FdSettings.densities),
+        warmup=_get(fd_raw, "warmup", int, path, FdSettings.warmup),
+        window=_get(fd_raw, "window", int, path, FdSettings.window),
+        estimator=_get(fd_raw, "estimator", str, path, FdSettings.estimator),
+        nasch_threshold=float(
+            _get(fd_raw, "nasch_threshold", (int, float), path, FdSettings.nasch_threshold)
+        ),
+        theta=float(_get(fd_raw, "theta", (int, float), path, FdSettings.theta)),
+    )
+    # A document rule, not a config rule: ``compare`` runs a nasch
+    # scenario's configuration as model fcm, whatever its estimator.
+    if fd.estimator == "site_count" and model == "fcm":
+        raise ScenarioValidationError(
+            f"{path}.estimator: site_count applies to the nasch model only"
         )
-        if nasch_settings.v_max < 1:
-            raise ScenarioValidationError(f"{path}.v_max: must be at least 1")
-        if not 0.0 <= nasch_settings.p <= 1.0:
-            raise ScenarioValidationError(f"{path}.p: must lie in [0, 1]")
-        if nasch_settings.runs < 1:
-            raise ScenarioValidationError(f"{path}.runs: must be at least 1")
-    elif model == "nasch":
-        nasch_settings = NaschSettings()
-
-    fd_raw = _get(doc, "fd", dict, "scenario", None)
-    fd = None
-    if fd_raw is not None:
-        path = "scenario.fd"
-        densities = _get(fd_raw, "densities", list, path, [])
-        for d in densities:
-            if isinstance(d, bool) or not isinstance(d, (int, float)) or not 0.0 < d <= 1.0:
-                raise ScenarioValidationError(f"{path}.densities: {d!r} outside (0, 1]")
-        fd = FdSettings(
-            densities=tuple(float(d) for d in densities),
-            warmup=_get(fd_raw, "warmup", int, path, 100),
-            window=_get(fd_raw, "window", int, path, 500),
-            estimator=_get(fd_raw, "estimator", str, path, "mean_velocity"),
-            nasch_threshold=float(_get(fd_raw, "nasch_threshold", (int, float), path, 0.1)),
-            theta=float(_get(fd_raw, "theta", (int, float), path, 0.99)),
-        )
-        if fd.estimator not in ESTIMATORS:
-            raise ScenarioValidationError(f"{path}.estimator: unknown estimator {fd.estimator!r}")
-        if fd.estimator == "site_count" and model == "fcm":
-            raise ScenarioValidationError(
-                f"{path}.estimator: site_count applies to the nasch model only"
-            )
-        if fd.warmup < 0 or fd.window < 1:
-            raise ScenarioValidationError(f"{path}: warmup must be >= 0 and window >= 1")
-        if not 0.0 < fd.theta <= 1.0:
-            raise ScenarioValidationError(f"{path}.theta: must lie in (0, 1]")
 
     outputs = []
     for i, raw in enumerate(_get(doc, "outputs", list, "scenario", [])):
         path = f"scenario.outputs[{i}]"
         if not isinstance(raw, dict):
             raise ScenarioParseError(f"{path}: expected a mapping")
-        kind = _need(raw, "kind", str, path)
-        if kind not in OUTPUT_KINDS:
-            raise ScenarioValidationError(f"{path}.kind: unknown output kind {kind!r}")
-        outputs.append(OutputSpec(kind, _need(raw, "path", str, path)))
-
-    if model == "nasch":
-        for i, entry in enumerate(fleet):
-            if not (entry.position.is_crisp and entry.velocity.is_crisp):
-                raise ScenarioValidationError(
-                    f"scenario.fleet[{i}]: the nasch model needs crisp positions and velocities"
-                )
+        outputs.append(OutputSpec(_need(raw, "kind", str, path), _need(raw, "path", str, path)))
 
     return ScenarioConfig(
         model=model,
@@ -334,7 +346,7 @@ def load_scenario(text: str) -> ScenarioConfig:
         epsilon=epsilon,
         classes=tuple(classes),
         fleet=tuple(fleet),
-        nasch=nasch_settings,
+        nasch=nasch,
         fd=fd,
         outputs=tuple(outputs),
     )
@@ -378,23 +390,9 @@ def dump_scenario(config: ScenarioConfig) -> str:
             }
             for e in config.fleet
         ],
+        "nasch": asdict(config.nasch),
+        "fd": {**asdict(config.fd), "densities": list(config.fd.densities)},
     }
-    if config.nasch is not None:
-        doc["nasch"] = {
-            "v_max": config.nasch.v_max,
-            "p": config.nasch.p,
-            "runs": config.nasch.runs,
-            "base_seed": config.nasch.base_seed,
-        }
-    if config.fd is not None:
-        doc["fd"] = {
-            "densities": list(config.fd.densities),
-            "warmup": config.fd.warmup,
-            "window": config.fd.window,
-            "estimator": config.fd.estimator,
-            "nasch_threshold": config.fd.nasch_threshold,
-            "theta": config.fd.theta,
-        }
     if config.outputs:
         doc["outputs"] = [{"kind": o.kind, "path": o.path} for o in config.outputs]
     return yaml.safe_dump(doc, sort_keys=False)
@@ -436,9 +434,9 @@ def build_fcm_state(config: ScenarioConfig) -> FcmState:
         raise ScenarioValidationError(str(exc)) from exc
 
 
-def build_nasch_state(config: ScenarioConfig, seed: int | None = None) -> NaschState:
+def build_nasch_state(config: ScenarioConfig) -> NaschState:
     """Initial baseline state; fuzzy fleet entries are defuzzified."""
-    ns = config.nasch if config.nasch is not None else NaschSettings()
+    ns = config.nasch
     positions = [defuzz_argmax(e.position) for e in config.fleet]
     velocities = [min(defuzz_argmax(e.velocity), ns.v_max) for e in config.fleet]
     try:
@@ -449,7 +447,7 @@ def build_nasch_state(config: ScenarioConfig, seed: int | None = None) -> NaschS
             np.array(velocities, dtype=np.int64),
             ns.v_max,
             ns.p,
-            ns.base_seed if seed is None else seed,
+            ns.base_seed,
         )
     except ValueError as exc:
         raise ScenarioValidationError(str(exc)) from exc

@@ -6,7 +6,7 @@ import pytest
 
 from fuzzycell import defuzz_argmax, model, nasch
 from fuzzycell.cli import build_parser, main
-from fuzzycell.metrics import queue_series
+from fuzzycell.metrics import empirical_queue_distribution, queue_series
 from fuzzycell.simio import (
     build_fcm_state,
     build_nasch_state,
@@ -267,6 +267,41 @@ def test_compare_writes_both(small_scenario, tmp_path, capsys):
     baseline = (out / "small_nasch_queue.csv").read_text()
     assert fuzzy.splitlines()[1] == "0,5,1.0"
     assert baseline.splitlines()[1] == "0,5,1.0"
+
+
+def test_compare_nasch_site_count_scenario(tmp_path):
+    # compare runs the scenario as model fcm; the estimator is a diagram setting
+    text = RING_SCENARIO.replace("window: 20}", "window: 20, estimator: site_count}")
+    text += "queue: {class: car, count: 6, spacing: 4}\n"
+    path = tmp_path / "ring.yaml"
+    path.write_text(text)
+    assert main(["compare", str(path), "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "ring_fcm_queue.csv").exists()
+    assert (tmp_path / "ring_nasch_queue.csv").exists()
+
+
+def test_compare_without_nasch_block_uses_default_settings(tmp_path):
+    path = tmp_path / "small.yaml"
+    text = SMALL_SCENARIO.replace("nasch: {v_max: 3, p: 0.2, runs: 6, base_seed: 99}\n", "")
+    assert "nasch" not in text
+    path.write_text(text)
+    assert main(["compare", str(path), "--out-dir", str(tmp_path)]) == 0
+    initial = nasch.queue_state(5, 60, v_max=3, p=0.2)
+    hist = empirical_queue_distribution(nasch.monte_carlo(initial, 8, 200, 13000))
+    write_queue_csv(hist, tmp_path / "expected.csv")
+    written = (tmp_path / "small_nasch_queue.csv").read_text()
+    assert written == (tmp_path / "expected.csv").read_text()
+
+
+@pytest.mark.parametrize("scenario", ["single_vehicle_a09", "ring_fd_nasch"])
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--steps", "0", "steps"), ("--alpha", "1.5", "alpha"), ("--alpha", "-0.1", "alpha")],
+)
+def test_bad_override_exits_1(scenario, flag, value, field, tmp_path, capsys):
+    assert main(["run", scenario, flag, value, "--out-dir", str(tmp_path)]) == 1
+    assert f"scenario.{field}:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_out_dir_from_environment(small_scenario, tmp_path, monkeypatch):

@@ -1,6 +1,6 @@
 """Observable extraction: queue rules, flow summaries, diagram sweeps."""
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import hypothesis.strategies as hs
 import numpy as np
@@ -23,20 +23,23 @@ from fuzzycell import (
     trajectory,
 )
 from fuzzycell import nasch
-from fuzzycell.model import run_ring
-from fuzzycell.simio import ScenarioValidationError
+from fuzzycell.model import flow_summary, run_ring
+from fuzzycell.simio import (
+    FdSettings,
+    NaschSettings,
+    ScenarioConfig,
+    ScenarioValidationError,
+    load_builtin,
+)
 from fuzzycell.metrics import (
     FdPoint,
-    InsufficientStepsError,
     argmax_grade,
     empirical_queue_distribution,
-    fuzzy_flow,
     in_queue_degree,
     is_unimodal,
     modal_series,
     queue_length,
     queue_series,
-    step_flow,
     sweep_fundamental_diagram,
 )
 
@@ -45,41 +48,22 @@ def fz(*pairs):
     return make_fuzzy(list(pairs))
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Duck-typed stand-in for a scenario configuration."""
-
-    model: str
-    road_length: int
-    alpha: float
-    epsilon: float
-    classes: tuple
-    nasch: object = None
-    fd: object = None
-    boundary: str = "ring"
-
-
-@dataclass(frozen=True)
-class NaschCfg:
-    v_max: int = 3
-    p: float = 0.2
-    runs: int = 20
-    base_seed: int = 42
-
-
-@dataclass(frozen=True)
-class FdCfg:
-    densities: tuple = ()
-    warmup: int = 15
-    window: int = 40
-    estimator: str = "mean_velocity"
-    nasch_threshold: float = 0.1
-    theta: float = 0.99
-
-
 def ring_class():
     return VehicleClass(
         "car", crisp(1), fz((2, 0.2), (3, 1.0), (4, 0.2)), fz((0, 0.2), (1, 1.0), (2, 0.2))
+    )
+
+
+def sweep_config(model, fd=FdSettings()):
+    """A 40-cell ring scenario; the sweep builds its own fleets."""
+    return ScenarioConfig(
+        model=model,
+        road_length=40,
+        boundary="ring",
+        steps=1,
+        classes=(ring_class(),),
+        nasch=NaschSettings(runs=20, base_seed=42),
+        fd=fd,
     )
 
 
@@ -196,37 +180,29 @@ def test_queue_series_runs_along_trajectory(queue_class):
 
 def test_step_flow_empty_road():
     st = FcmState((), 100, "ring")
-    assert step_flow(st) == (0.0, 0.0, 0.0)
+    assert flow_summary(st, 0.99) == (0, 0, 0)
 
 
 def test_step_flow_single_top_speed_vehicle():
     cls = VehicleClass("c", crisp(1), crisp(3), crisp(1))
     st = FcmState((FcmVehicle(0, cls, crisp(0), crisp(3)),), 100, "ring")
-    assert step_flow(st) == (0.03, 0.03, 0.03)
+    assert flow_summary(st, 0.99) == (3, 3, 3)
 
 
 def test_step_flow_jam_is_zero():
     cls = VehicleClass("c", crisp(1), crisp(3), crisp(1))
     st = ring_state(cls, 10, 10)
     st = step(st)
-    assert step_flow(st) == (0.0, 0.0, 0.0)
+    assert flow_summary(st, 0.99) == (0, 0, 0)
 
 
 def test_flow_cut_threshold_must_lie_in_unit_interval(queue_class):
     st = step(stopped_queue(queue_class, 3, 50))
     for theta in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError):
-            step_flow(st, theta)
+            flow_summary(st, theta)
         with pytest.raises(ValueError):
             run_ring(st, 2, theta)
-
-
-def test_fuzzy_flow_requires_enough_steps(queue_class):
-    states = trajectory(stopped_queue(queue_class, 3, 50), 5)
-    with pytest.raises(InsufficientStepsError):
-        fuzzy_flow(states, warmup=5)
-    summary = fuzzy_flow(states, warmup=2)
-    assert summary.cut_low <= summary.argmax <= summary.cut_high
 
 
 def test_flow_summary_matches_folded_extension_sum():
@@ -239,11 +215,7 @@ def test_flow_summary_matches_folded_extension_sum():
         total = st.vehicles[0].velocity
         for veh in st.vehicles[1:]:
             total = ext_add(total, veh.velocity)
-        argmax, lo, hi = step_flow(st, theta=0.99)
-        assert argmax == pytest.approx(defuzz_argmax(total) / 30)
-        cut = alpha_cut(total, 0.99)
-        assert lo == pytest.approx(cut[0] / 30)
-        assert hi == pytest.approx(cut[1] / 30)
+        assert flow_summary(st, 0.99) == (defuzz_argmax(total), *alpha_cut(total, 0.99))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +228,7 @@ def test_fd_point_invariant():
 
 
 def test_sweep_fcm_small():
-    cfg = SweepConfig("fcm", 40, 0.9, 0.01, (ring_class(),), NaschCfg(), FdCfg())
+    cfg = sweep_config("fcm")
     points = sweep_fundamental_diagram(cfg, densities=[0.1, 0.5, 1.0], warmup=10, window=30)
     assert [p.density for p in points] == [0.1, 0.5, 1.0]
     for p in points:
@@ -265,7 +237,7 @@ def test_sweep_fcm_small():
 
 
 def test_sweep_nasch_small():
-    cfg = SweepConfig("nasch", 40, 0.9, 0.01, (ring_class(),), NaschCfg(), FdCfg())
+    cfg = sweep_config("nasch")
     points = sweep_fundamental_diagram(cfg, densities=[0.1, 0.5, 1.0], warmup=10, window=30)
     for p in points:
         assert all(prob >= 0.1 for _, prob in p.states)
@@ -276,26 +248,33 @@ def test_sweep_nasch_small():
 
 
 def test_sweep_site_count_estimator():
-    cfg = SweepConfig(
-        "nasch", 40, 0.9, 0.01, (ring_class(),), NaschCfg(), FdCfg(estimator="site_count")
-    )
+    cfg = sweep_config("nasch", FdSettings(estimator="site_count"))
     (point,) = sweep_fundamental_diagram(cfg, densities=[0.2], warmup=10, window=30)
     assert point.mean_flow > 0.0
 
 
 def test_sweep_rejects_bad_density():
-    cfg = SweepConfig("fcm", 40, 0.9, 0.01, (ring_class(),), NaschCfg(), FdCfg())
-    with pytest.raises(ValueError):
+    cfg = sweep_config("fcm")
+    with pytest.raises(ScenarioValidationError, match="densities"):
         sweep_fundamental_diagram(cfg, densities=[1.5], warmup=5, window=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no vehicle"):
         sweep_fundamental_diagram(cfg, densities=[0.001], warmup=5, window=10)
-    with pytest.raises(ValueError):
-        sweep_fundamental_diagram(replace(cfg, fd=None))
+    with pytest.raises(ValueError, match="no densities"):
+        sweep_fundamental_diagram(replace(cfg, fd=FdSettings()))
+
+
+@pytest.mark.parametrize("name", ["ring_fd_fcm", "ring_fd_nasch"])
+@pytest.mark.parametrize("warmup, window", [(5, 0), (-5, 30)])
+def test_sweep_rejects_bad_window(name, warmup, window):
+    # explicit arguments pass the scenario's own diagram checks
+    cfg = load_builtin(name)
+    with pytest.raises(ScenarioValidationError, match="scenario.fd: warmup"):
+        sweep_fundamental_diagram(cfg, densities=[0.2], warmup=warmup, window=window)
 
 
 def test_sweep_rejects_open_road():
     for model in ("fcm", "nasch"):
-        cfg = SweepConfig(model, 40, 0.9, 0.01, (ring_class(),), NaschCfg(), FdCfg())
+        cfg = sweep_config(model)
         with pytest.raises(ScenarioValidationError, match="ring"):
             sweep_fundamental_diagram(replace(cfg, boundary="open"), densities=[0.1])
 
