@@ -126,6 +126,8 @@ class NaschSettings:
             raise ScenarioValidationError(f"{path}.p: must lie in [0, 1]")
         if self.runs < 1:
             raise ScenarioValidationError(f"{path}.runs: must be at least 1")
+        if self.base_seed < 0:
+            raise ScenarioValidationError(f"{path}.base_seed: must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -151,6 +153,8 @@ class FdSettings:
             raise ScenarioValidationError(f"{path}: warmup must be >= 0 and window >= 1")
         if not 0.0 < self.theta <= 1.0:
             raise ScenarioValidationError(f"{path}.theta: must lie in (0, 1]")
+        if not 0.0 <= self.nasch_threshold <= 1.0:
+            raise ScenarioValidationError(f"{path}.nasch_threshold: must lie in [0, 1]")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -175,6 +179,8 @@ class ScenarioConfig:
             raise ScenarioValidationError(f"scenario.model: unknown model {self.model!r}")
         if self.boundary not in BOUNDARIES:
             raise ScenarioValidationError(f"scenario.boundary: unknown boundary {self.boundary!r}")
+        if self.road_length < 1:
+            raise ScenarioValidationError("scenario.road_length: must be at least 1")
         if self.steps < 1:
             raise ScenarioValidationError("scenario.steps: must be at least 1")
         if not 0.0 <= self.alpha <= 1.0:

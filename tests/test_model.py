@@ -1,17 +1,21 @@
 """Fuzzy traffic model: state invariants, update rules, engine equivalence."""
 
+import itertools
 import math
+import tracemalloc
+from dataclasses import replace
 
 import hypothesis.strategies as hs
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 from fuzzycell import model
 from fuzzycell import (
     DegenerateClassError,
     FcmState,
     FcmVehicle,
+    FuzzyInt,
     VehicleClass,
     advance_position,
     alpha_cut,
@@ -436,13 +440,13 @@ def _vehicle_classes(draw):
 
 
 @hs.composite
-def fleets(draw):
+def fleets(draw, boundaries=("open", "ring"), max_road=30):
     """Valid step-0 states: 1-10 vehicles of up to 3 classes, fuzzy
     positions and velocities, open or ring roads (short rings included,
     where the largest speed plus length reaches around the ring)."""
-    boundary = draw(hs.sampled_from(["open", "ring"]))
-    count = draw(hs.integers(1, 10))
-    road = draw(hs.integers(count, 30))
+    boundary = draw(hs.sampled_from(boundaries))
+    count = draw(hs.integers(1, min(10, max_road)))
+    road = draw(hs.integers(count, max_road))
     classes = draw(hs.lists(_vehicle_classes(), min_size=1, max_size=3))
     cores = sorted(draw(hs.sets(hs.integers(0, road - 1), min_size=count, max_size=count)))
     modulus = road if boundary == "ring" else None
@@ -499,6 +503,182 @@ def test_run_ring_matches_repeated_step(st, steps, theta):
         assert a.position == b.position
         assert a.velocity == b.velocity
     assert flows == expected
+
+
+# ---------------------------------------------------------------------------
+# ring symmetries and cycle skipping
+
+# the class of the bundled ring_fd_fcm scenario
+RING_CAR = VehicleClass(
+    "car", crisp(1), fz((2, 0.2), (3, 1.0), (4, 0.2)), fz((0, 0.2), (1, 1.0), (2, 0.2))
+)
+
+
+def rotated(state, k):
+    """The ring state with every position moved k cells downstream."""
+
+    def moved(p):
+        values = (p.values + k) % state.road_length
+        order = np.argsort(values)
+        return FuzzyInt._from_arrays(values[order], p.grades[order])
+
+    vehicles = tuple(replace(v, position=moved(v.position)) for v in state.vehicles)
+    return replace(state, vehicles=vehicles)
+
+
+def relabelled(state, r):
+    """Vehicle i takes the position and velocity of vehicle i - r."""
+    vs = state.vehicles
+    return replace(state, vehicles=tuple(
+        replace(v, position=vs[i - r].position, velocity=vs[i - r].velocity)
+        for i, v in enumerate(vs)
+    ))
+
+
+def stepped(state, steps, theta=None):
+    """``steps`` calls of step: the last state and, unless theta is None,
+    the flow summary after each call."""
+    flows = None if theta is None else []
+    for _ in range(steps):
+        state = step(state)
+        if flows is not None:
+            flows.append(flow_summary(state, theta))
+    return state, flows
+
+
+def _alternating_ring():
+    # two classes, alternating: relabelling by 2 or 4 keeps them
+    classes = (RING_CAR, crisp_class())
+    vehicles = tuple(
+        FcmVehicle(i, classes[i % 2], fz((2 * i, 1.0), (2 * i + 1, 0.4)), crisp(i % 3))
+        for i in range(6)
+    )
+    return FcmState(vehicles, 12, "ring", 0.5, 0.05)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fleets(boundaries=("ring",)), hs.integers(0, 29))
+def test_step_commutes_with_rotation(st, k):
+    assert step(rotated(st, k)) == rotated(step(st), k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fleets(boundaries=("ring",)), hs.integers(0, 8))
+@example(_alternating_ring(), 0)
+@example(_alternating_ring(), 1)
+def test_step_commutes_with_relabelling(st, pick):
+    vs = st.vehicles
+    shifts = [
+        r for r in range(1, len(vs)) if all(v.vclass is vs[i - r].vclass for i, v in enumerate(vs))
+    ]
+    assume(shifts)
+    r = shifts[pick % len(shifts)]
+    assert step(relabelled(st, r)) == relabelled(step(st), r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fleets(boundaries=("ring",), max_road=12), hs.integers(3, 80), hs.floats(0.05, 1.0))
+@example(ring_state(RING_CAR, 8, 2), 80, 0.99)  # repeats from update 4
+@example(ring_state(RING_CAR, 4, 2, alpha=0.0), 80, 0.5)  # stands still from update 36
+@example(ring_state(RING_CAR, 6, 2), 80, 0.99)  # grades still change at update 80
+@example(ring_state(crisp_class(), 7, 4), 80, 0.5)  # each update relabels by 3, rotates by 6
+def test_run_ring_matches_repeated_step_over_long_horizons(st, steps, theta):
+    assert run_ring(st, steps, theta) == stepped(st, steps, theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fleets(boundaries=("ring",), max_road=12), hs.integers(3, 40), hs.integers(1, 4))
+@example(ring_state(RING_CAR, 8, 2), 40, 1)
+@example(ring_state(crisp_class(), 7, 4), 40, 1)
+def test_run_ring_is_exact_whatever_the_key_nominates(st, steps, key_period):
+    # every update nominates the period key_period; only the comparison decides
+    keys = itertools.count()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_ring_key", lambda pos: next(keys) % key_period)
+        got = run_ring(st, steps, 0.5)
+    assert got == stepped(st, steps, 0.5)
+
+
+@pytest.mark.parametrize("count, updates", [(7, range(1, 41)), (27, [600])])
+def test_ring_run_stops_simulating_once_it_repeats(monkeypatch, count, updates):
+    calls = []
+    update = model._update
+    monkeypatch.setattr(model, "_update", lambda *a: calls.append(1) or update(*a))
+    run_ring(ring_state(RING_CAR, 100, count), 600, theta=0.99)
+    assert len(calls) in updates
+
+
+def cycling_update(fleet, pos, origin, vel):
+    """A stand-in update that commutes with rotation and relabelling:
+    every row moves one cell on and one vehicle up, and every grade
+    steps 1 -> 0.3 -> 0.6 -> 1, so the state repeats every 3 updates up
+    to a relabelling by 3 and a rotation by 3, with flows that vary."""
+
+    def cycled(rows):
+        out = rows.copy()
+        for old, new in ((1.0, 0.3), (0.3, 0.6), (0.6, 1.0)):
+            out[rows == old] = new
+        return out
+
+    return np.roll(cycled(pos), (1, 1), axis=(0, 1)), origin, np.roll(cycled(vel), 1, axis=0)
+
+
+@pytest.mark.parametrize("steps", [50, 51, 52])
+def test_skip_fills_flows_and_rolls_rows_over_a_period_of_3(monkeypatch, steps):
+    vehicles = tuple(
+        FcmVehicle(i, RING_CAR, crisp(3 * i), fz((0, 1.0), (1, 0.3))) for i in range(4)
+    )
+    st = FcmState(vehicles, 20, "ring")
+    calls = []
+    monkeypatch.setattr(model, "_update", lambda *a: calls.append(1) or cycling_update(*a))
+    got = run_ring(st, steps, theta=0.5)
+    assert len(calls) < 15
+    assert len(set(got[1][-3:])) > 1
+    assert got == stepped(st, steps, theta=0.5)
+
+
+def test_symmetry_allows_only_relabellings_that_keep_the_classes():
+    # the later rows are the earlier ones relabelled by 1 and rotated by
+    # 1 cell; no rotation alone maps one onto the other
+    earlier = np.array([[1.0, 0, 0, 0, 0, 0], [0, 0, 0, 1.0, 0.5, 0]])
+    later = np.roll(earlier, (1, 1), axis=(0, 1))
+    vel = np.array([[1.0, 0.0], [1.0, 0.0]])
+    assert model._symmetry(np.array([0, 0]), (earlier, 0, vel), (later, 0, vel)) == (1, 1)
+    assert model._symmetry(np.array([0, 1]), (earlier, 0, vel), (later, 0, vel)) is None
+
+
+def test_rows_kept_after_a_skip_are_the_returned_state(monkeypatch):
+    calls = []
+    update = model._update
+    monkeypatch.setattr(model, "_update", lambda *a: calls.append(1) or update(*a))
+    final, _ = run_ring(ring_state(RING_CAR, 100, 7), 600)
+    assert len(calls) < 600
+    last, fleet, (pos, origin, vel) = model._last
+    assert last is final
+    want = model._rows(final, fleet.cap)
+    assert np.array_equal(pos, want[0]) and origin == want[1] and np.array_equal(vel, want[2])
+    assert not pos.flags.writeable and not vel.flags.writeable
+    assert step(final) == step(replace(final))  # the copy is rebuilt from its sets
+
+
+def test_ring_run_memory_does_not_grow_with_steps():
+    # A jam: 93 vehicles repeat from update 341.  theta is None, so no
+    # flows list is returned; one update's own peak (about 1.5 MB of
+    # gap and shift temporaries) is the baseline.
+    st = ring_state(RING_CAR, 100, 93)
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            run_ring(st, steps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    base = peak(1)
+    extra = {steps: peak(steps) - base for steps in (600, 3000)}
+    assert extra[600] < 2**20 and extra[3000] < 2**20
+    assert extra[3000] <= extra[600] + 2**16
 
 
 def _tiny_ring():

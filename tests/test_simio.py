@@ -1,5 +1,7 @@
 """Scenario loading/serialization, CSV and PGM output."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,32 @@ def test_validation_output_kind():
     text = MINIMAL + "outputs: [{kind: video, path: x.mp4}]\n"
     with pytest.raises(ScenarioValidationError, match="video"):
         load_scenario(text)
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        (MINIMAL.replace("road_length: 50", "road_length: 0"), "scenario.road_length"),
+        (MINIMAL + "nasch: {base_seed: -3}\n", "scenario.nasch.base_seed"),
+        (MINIMAL + "fd: {densities: [0.5], nasch_threshold: 1.5}\n", "scenario.fd.nasch_threshold"),
+        (MINIMAL + "fd: {densities: [0.5], nasch_threshold: -0.1}\n", "scenario.fd.nasch_threshold"),
+    ],
+    ids=["road_length", "base_seed", "threshold_above_1", "threshold_below_0"],
+)
+def test_validation_names_the_out_of_range_field(text, field):
+    with pytest.raises(ScenarioValidationError, match=field.replace(".", r"\.")):
+        load_scenario(text)
+
+
+def test_config_replace_checks_the_new_ranges():
+    cfg = load_builtin("ring_fd_nasch")
+    with pytest.raises(ScenarioValidationError, match="road_length"):
+        replace(cfg, road_length=0)
+    with pytest.raises(ScenarioValidationError, match="base_seed"):
+        replace(cfg, nasch=replace(cfg.nasch, base_seed=-1))
+    with pytest.raises(ScenarioValidationError, match="nasch_threshold"):
+        replace(cfg, fd=replace(cfg.fd, nasch_threshold=1.5))
+    assert replace(cfg, fd=replace(cfg.fd, nasch_threshold=1.0)).fd.nasch_threshold == 1.0
 
 
 def test_queue_shorthand_requires_known_class():

@@ -12,29 +12,38 @@ to the next, so that both sides share the host's speed drift.  T is
 ``run_seconds`` from the first checkout's ``BENCHMARK.json``.  Ten
 repeats give the ten alternating pairs that a claimed gain is judged
 on.  Each checkout runs its own ``bench/run.py`` on its
-own ``src/``.  It then times the checkout's tier-1 suite once.
+own ``src/``.  In the same alternating order, every repeat also times
+each checkout's full 19-density ``fundamental-diagram`` sweep of
+``ring_fd_fcm`` and ``ring_fd_nasch`` (``python -m fuzzycell``, wall
+clock from spawn to exit, not scaled by the benchmark's speed probe) and
+keeps the sha256 of its CSV.  It then times the checkout's tier-1 suite
+once.
 
 The output holds the machine (CPU model, cores, Python, numpy), the
 settings, and per checkout its git revision and ``src/`` sha256 (from
 the runner's provenance line), the tier-1 wall time and summary line,
-and per workload and end-to-end metric the median, min, quartiles, IQR
-and every value, plus the samples attempted and failed.  Only the
+per workload and end-to-end metric the median, min, quartiles, IQR
+and every value, plus the samples attempted and failed, and per sweep
+the same summary of its wall time with the distinct CSV digests.  Only the
 standard library is used.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 WORKLOADS = ("ring_fd", "open_queue", "nasch_fd", "fuzzy_ops")
+SWEEPS = ("ring_fd_fcm", "ring_fd_nasch")  # bundled scenarios, every density
 REPEATS = 10
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
@@ -53,6 +62,23 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
         json.loads(line.split(" ", 1)[1]) for line in lines if line.startswith("provenance ")
     )
     return {"provenance": provenance, "result": json.loads(lines[-1])}
+
+
+def run_sweep(root: Path, scenario: str) -> dict:
+    """Wall time of the checkout's ``fundamental-diagram SCENARIO`` and
+    the sha256 of the CSV it writes."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    with tempfile.TemporaryDirectory() as out:
+        started = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "fuzzycell", "fundamental-diagram", scenario, "--out-dir", out],
+            cwd=root, env=env, capture_output=True, text=True, check=False,
+        )
+        wall = time.perf_counter() - started
+        if proc.returncode != 0:
+            raise RuntimeError(f"{root}: fundamental-diagram {scenario} failed:\n{proc.stderr}")
+        digest = hashlib.sha256((Path(out) / f"{scenario}.csv").read_bytes()).hexdigest()
+    return {"wall_s": wall, "sha256": digest}
 
 
 def run_tier1(root: Path) -> dict:
@@ -105,6 +131,7 @@ def main(argv=None) -> int:
     seconds = json.loads((first / "BENCHMARK.json").read_text())["run_seconds"]
 
     runs = {label: {w: [] for w in WORKLOADS} for label in checkouts}
+    sweeps = {label: {sc: [] for sc in SWEEPS} for label in checkouts}
     for repeat in range(REPEATS):
         order = list(checkouts.items())
         if repeat % 2:
@@ -115,6 +142,11 @@ def main(argv=None) -> int:
                 metrics = runs[label][workload][-1]["result"]["metrics"]
                 print(f"repeat {repeat} {workload:10s} {label:8s} "
                       f"wall_ref_s {metrics['wall_ref_s']['value']:.4f}", flush=True)
+        for scenario in SWEEPS:
+            for label, root in order:
+                sweeps[label][scenario].append(run_sweep(root, scenario))
+                print(f"repeat {repeat} {scenario:13s} {label:8s} "
+                      f"wall_s {sweeps[label][scenario][-1]['wall_s']:.3f}", flush=True)
 
     record = {"machine": machine(),
               "settings": {"seed": args.seed, "repeats": REPEATS, "seconds": seconds,
@@ -139,6 +171,11 @@ def main(argv=None) -> int:
                     for name in names
                 },
             }
+        entry["sweeps"] = {
+            scenario: {"unit": "s", **summarize([d["wall_s"] for d in done]),
+                       "sha256": sorted({d["sha256"] for d in done})}
+            for scenario, done in sweeps[label].items()
+        }
         record["checkouts"][label] = entry
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0
