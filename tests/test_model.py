@@ -599,13 +599,19 @@ def test_run_ring_is_exact_whatever_the_key_nominates(st, steps, key_period):
     assert got == stepped(st, steps, 0.5)
 
 
-@pytest.mark.parametrize("count, updates", [(7, range(1, 41)), (27, [600])])
-def test_ring_run_stops_simulating_once_it_repeats(monkeypatch, count, updates):
+@pytest.fixture
+def update_calls(monkeypatch):
+    """A list that gains an entry for every call of ``model._update``."""
     calls = []
     update = model._update
     monkeypatch.setattr(model, "_update", lambda *a: calls.append(1) or update(*a))
+    return calls
+
+
+@pytest.mark.parametrize("count, allowed", [(7, range(1, 41)), (27, [600])])
+def test_ring_run_stops_simulating_once_it_repeats(update_calls, count, allowed):
     run_ring(ring_state(RING_CAR, 100, count), 600, theta=0.99)
-    assert len(calls) in updates
+    assert len(update_calls) in allowed
 
 
 def cycling_update(fleet, pos, origin, vel):
@@ -647,12 +653,9 @@ def test_symmetry_allows_only_relabellings_that_keep_the_classes():
     assert model._symmetry(np.array([0, 1]), (earlier, 0, vel), (later, 0, vel)) is None
 
 
-def test_rows_kept_after_a_skip_are_the_returned_state(monkeypatch):
-    calls = []
-    update = model._update
-    monkeypatch.setattr(model, "_update", lambda *a: calls.append(1) or update(*a))
+def test_rows_kept_after_a_skip_are_the_returned_state(update_calls):
     final, _ = run_ring(ring_state(RING_CAR, 100, 7), 600)
-    assert len(calls) < 600
+    assert len(update_calls) < 600
     last, fleet, (pos, origin, vel) = model._last
     assert last is final
     want = model._rows(final, fleet.cap)

@@ -24,8 +24,8 @@ settings, and per checkout its git revision and ``src/`` sha256 (from
 the runner's provenance line), the tier-1 wall time and summary line,
 per workload and end-to-end metric the median, min, quartiles, IQR
 and every value, plus the samples attempted and failed, and per sweep
-the same summary of its wall time with the distinct CSV digests.  Only the
-standard library is used.
+the same summary of its wall time with the distinct CSV digests.  Only
+the standard library is used.
 """
 
 from __future__ import annotations
