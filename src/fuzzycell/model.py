@@ -26,21 +26,6 @@ states.  The row format stays in this module: :func:`membership_of_rows`
 and :func:`queue_length_of_rows` read the space-time row and the fuzzy
 queue length straight from the rows.
 
-A ring run stops simulating once the road repeats.  The update commutes
-with two symmetries of a ring state: rotating every row by s cells (gap
-windows, folds, powers and truncation are all per cell or cyclic) and,
-where the class sequence repeats under it, relabelling vehicle i as
-i + r (every per-row table is indexed by class, and the leader of i is
-i + 1 mod n).  A flow is a sum over the vehicles, so neither changes
-it.  Once the state after update t equals the state after update t - p
-relabelled by r and rotated by s, the flows repeat with period p, and
-the state k * p updates later is the one after t relabelled by k * r
-and rotated by k * s.  :func:`run_ring` fills the remaining flows by
-repetition and rolls the last simulated state.  A key of each state
-only nominates p; exact equality of the rows confirms it, so the result
-equals stepping every update, bit for bit.  :func:`step`,
-:func:`iter_rows` and open roads never look for a repeat.
-
 On an open road the supports widen without bound, and this is model
 behaviour.  A class whose acceleration has a grade at 0 (``queue50``:
 0.2) keeps a grade at velocity 0 in every velocity support, so each
@@ -286,10 +271,9 @@ def run_ring(state: FcmState, steps: int, theta: float | None = None):
     """Advance ``steps`` updates on either boundary: ``(final_state, flows)``.
 
     ``flows[t]`` is the :func:`flow_summary` after update t + 1;
-    ``flows`` is None when ``theta`` is None.  On a ring the run stops
-    simulating once a state repeats an earlier one up to a rotation and
-    a relabelling of the vehicles, as the module docstring explains; the
-    result equals ``steps`` calls of :func:`step`, flows included.
+    ``flows`` is None when ``theta`` is None.  Every update is
+    simulated, so the cost of a run is steps times the cost of one
+    update, whatever the dynamics.
     """
     return _advance(state, steps, theta)
 
@@ -300,15 +284,23 @@ def flow_summary(state: FcmState, theta: float) -> tuple[int, int, int]:
     velocity below ``theta`` is cut at its maximal grade."""
     if not state.vehicles:
         return (0, 0, 0)
-    return _flow_rows(_dense_rows([veh.velocity for veh in state.vehicles]), theta)
+    sums = _flow_rows(_dense_rows([veh.velocity for veh in state.vehicles]), theta)
+    return tuple(int(s) for s in sums)
 
 
 def _flow_rows(vel, theta):
+    """The three flow sums of velocity rows ``(..., vehicle, velocity)``,
+    one value per index of the leading axes."""
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"flow cut threshold {theta!r} not in (0, 1]")
-    cut = vel >= np.minimum(theta, vel.max(axis=1, keepdims=True))
-    hi = cut.shape[1] - 1 - cut[:, ::-1].argmax(axis=1)
-    return int(vel.argmax(axis=1).sum()), int(cut.argmax(axis=1).sum()), int(hi.sum())
+    cut = vel >= np.minimum(theta, vel.max(axis=-1, keepdims=True))
+    hi = cut.shape[-1] - 1 - cut[..., ::-1].argmax(axis=-1)
+    return vel.argmax(axis=-1).sum(axis=-1), cut.argmax(axis=-1).sum(axis=-1), hi.sum(axis=-1)
+
+
+# Velocity rows of a run held before their flows are summed in one pass:
+# at 93 vehicles and 5 velocity columns, about 0.1 MB.
+_FLOW_BATCH = 32
 
 
 # The last state returned, with its fleet tables and rows: trajectories
@@ -327,23 +319,15 @@ def _advance(state, steps, theta):
     if state is not last:
         fleet = _Fleet(state)
         rows = _rows(state, fleet.cap)
-    # a repeat is nominated at update 2 at the earliest, confirmed at 3
-    watch = _Repeats(fleet.kind) if fleet.ring and steps > 2 else None
-    t, end = 0, steps
-    while t < end:
+    held = []  # velocity rows whose flows are not summed yet
+    for t in range(steps):
         rows = _update(fleet, *rows)
-        t += 1
         if flows is not None:
-            flows.append(_flow_rows(rows[2], theta))
-        if watch is not None and (cycle := watch.see(t, rows)) is not None:
-            watch = None
-            period, r, s = cycle
-            end = t + (steps - t) % period  # simulate the last part lap only
-    if end < steps:
-        laps = (steps - end) // period
-        if flows is not None:
-            flows.extend(flows[-period:] * laps)
-        rows = _roll_rows(rows, laps * r, laps * s)
+            held.append(rows[2])
+            if len(held) == _FLOW_BATCH or t == steps - 1:
+                sums = _flow_rows(np.stack(held), theta)
+                flows.extend(zip(*(column.tolist() for column in sums)))
+                held.clear()
     out = _materialize(state, rows, state.step + steps)
     _last = (out, fleet, rows)
     return out, flows
@@ -392,7 +376,7 @@ class _Fleet:
     def __init__(self, state):
         by_id = {id(veh.vclass): veh.vclass for veh in state.vehicles}
         classes = list(by_id.values())
-        self.kind = kind = np.array([list(by_id).index(id(veh.vclass)) for veh in state.vehicles])
+        kind = np.array([list(by_id).index(id(veh.vclass)) for veh in state.vehicles])
         leaders = [_leader_index(state, i) for i in range(len(state.vehicles))]
         self.leader = np.array([-1 if j is None else j for j in leaders])
         self.free = self.leader < 0
@@ -404,6 +388,11 @@ class _Fleet:
         if 0 in self.vmax_hat:
             raise DegenerateClassError("defuzzified maximum velocity is 0")
         self.vmax_tail = _suffix_max(self.vmax)
+        self.rows = np.arange(len(kind))
+        # dilation exponent by row and defuzzified new velocity
+        self.exponent = np.array(
+            [[_exponent(v, m, self.alpha) for v in range(self.cap + 1)] for m in self.vmax_hat]
+        )
         self.accel = _dense_rows([c.accel for c in classes])[kind]
         length = _dense_rows([c.length for c in classes])[kind[self.leader]]
         length[self.free] = 0.0
@@ -413,86 +402,6 @@ class _Fleet:
         span = self.reach + 1
         bucket = np.array([0, *range(span + 1, span + self.cap), 2 * span + self.cap])
         self.buckets = used[:, None] + bucket
-
-
-# Ring keys kept before they are dropped: about 0.4 MB.
-_KEYS_KEPT = 4096
-
-
-class _Repeats:
-    """Watches a ring run for a state that repeats an earlier one up to
-    a rotation by s cells and a relabelling by r vehicles.
-
-    Each state's :func:`_ring_key` maps to the last update that gave it.
-    A hit only nominates the distance p between the two updates: the
-    state is held, and p updates later the new state is compared with
-    it, relabelled and rotated, by exact equality (:func:`_symmetry`).
-    A failed comparison frees the slot for the next nomination.  A
-    period is missed, and every update simulated, when the keys repeat
-    sooner than the states, or when it is longer than ``_KEYS_KEPT``
-    updates: the keys are dropped that often, which bounds their memory.
-    """
-
-    def __init__(self, kind):
-        self.kind = kind
-        self.seen = {}
-        self.held = None  # (due update, period, rows)
-
-    def see(self, t, rows):
-        """``(p, r, s)`` once the rows after update ``t`` are those after
-        update t - p relabelled by r and rotated by s; otherwise None."""
-        if self.held is not None and self.held[0] == t:
-            _, period, earlier = self.held
-            self.held = None
-            shift = _symmetry(self.kind, earlier, rows)
-            if shift is not None:
-                return (period, *shift)
-        if len(self.seen) == _KEYS_KEPT:
-            self.seen.clear()
-        key = _ring_key(rows[0])
-        before = self.seen.get(key)
-        self.seen[key] = t
-        if before is not None and self.held is None:
-            self.held = (2 * t - before, t - before, rows)
-        return None
-
-
-def _ring_key(pos):
-    """A key of ring position rows that no rotation or relabelling
-    changes: the wrapping sum of the bits of all their grades.  Equal
-    keys do not imply equal states."""
-    return int(pos.view(np.uint64).sum())
-
-
-def _symmetry(kind, earlier, later):
-    """``(r, s)`` such that ``later`` holds the rows of ``earlier``
-    relabelled by r (row i becomes row i + r) and rotated by s cells,
-    where ``kind``, the class of each row, rolled by r equals ``kind``;
-    otherwise None."""
-    pos_a, _, vel_a = earlier
-    pos_b, _, vel_b = later
-    n, width = pos_a.shape
-    head = pos_b[0]
-    tops = np.flatnonzero(head == head.max())
-    for j in np.flatnonzero((vel_a == vel_b[0]).all(axis=1)):  # rows that may become row 0
-        r = (n - j) % n
-        if not (np.array_equal(np.roll(kind, r), kind)
-                and np.array_equal(np.roll(vel_a, r, axis=0), vel_b)):
-            continue
-        for s in tops - pos_a[j].argmax():
-            if np.array_equal(np.roll(pos_a, (r, s), axis=(0, 1)), pos_b):
-                return int(r), int(s) % width
-    return None
-
-
-def _roll_rows(rows, r, s):
-    """Ring rows relabelled by r and rotated by s cells, read-only."""
-    pos, origin, vel = rows
-    pos = np.roll(pos, (r, s), axis=(0, 1))
-    vel = np.roll(vel, r, axis=0)
-    pos.setflags(write=False)
-    vel.setflags(write=False)
-    return pos, origin, vel
 
 
 def _update(fleet, pos, origin, vel):
@@ -520,17 +429,19 @@ def _update(fleet, pos, origin, vel):
     reach = fleet.reach
     lead = pos[fleet.leader]
     ext = np.concatenate([lead, lead if fleet.ring else np.zeros_like(lead)], axis=1)
-    pairs = np.zeros((n, reach + 1, width), dtype=np.float64)  # by distance
-    for d in range(1, min(reach, width)):
-        np.minimum(pos, ext[:, d : d + width], out=pairs[:, d])
+    diag = np.zeros((n, reach + 1))  # by distance; no pair is at distance 0
+    near = min(reach, width)
+    if near > 1:  # shifted[:, k] is the leader row moved k + 1 cells, a view of ext
+        item = ext.itemsize
+        shifted = np.ndarray((n, near - 1, width), ext.dtype, ext, item, (ext.strides[0], item, item))
+        np.minimum(pos[:, None, :], shifted).max(axis=2, out=diag[:, 1:near])
     if reach < width:
         if fleet.ring:
-            far = _window_max(ext, width - reach)[:, reach : reach + width]
+            far = _window_max(ext[:, reach : 2 * width - 1], width - reach)
         else:  # zero padding: each window from reach on runs to the row's end
             far = np.zeros_like(pos)
             far[:, : width - reach] = _suffix_max(lead)[:, reach:]
-        np.minimum(pos, far, out=pairs[:, reach])
-    diag = pairs.max(axis=2)
+        diag[:, reach] = np.minimum(pos, far, out=far).max(axis=1)
     near_far = [np.maximum.accumulate(diag, axis=1), diag, _suffix_max(diag)]
     by_length = np.minimum(np.concatenate(near_far, axis=1)[:, fleet.buckets], fleet.length)
     gap = by_length.max(axis=1, initial=0.0)
@@ -540,12 +451,11 @@ def _update(fleet, pos, origin, vel):
     reachable = _add_rows(vel, fleet.accel)
     vel = _min_rows(_min_rows(reachable, gap, _suffix_max(gap)), fleet.vmax, fleet.vmax_tail)
 
-    v_hat = vel.argmax(axis=1).tolist()
-    exponents = [_exponent(v, m, fleet.alpha) for v, m in zip(v_hat, fleet.vmax_hat)]
+    exponents = fleet.exponent[fleet.rows, vel.argmax(axis=1)]
     moved = _add_rows(pos, vel)
-    for e in set(exponents) - {1.0}:
+    for e in set(exponents.tolist()) - {1.0}:
         # scalar, as in dilate: x ** 0.5 is then a sqrt, not pow's last bit
-        rows = np.array(exponents) == e
+        rows = exponents == e
         moved[rows] = np.power(moved[rows], e)
     if fleet.epsilon > 0.0:
         np.putmask(moved, moved < np.minimum(fleet.epsilon, moved.max(axis=1, keepdims=True)), 0.0)
@@ -571,8 +481,9 @@ def _add_rows(a, b):
     """
     n, wa = a.shape
     wb = b.shape[1]
-    cols = np.zeros((n, wb, wa + wb), dtype=np.float64)
+    cols = np.empty((n, wb, wa + wb))
     np.minimum(a[:, None, :], b[:, :, None], out=cols[:, :, :wa])
+    cols[:, :, wa:] = 0.0
     skewed = cols.reshape(n, -1)[:, : wb * (wa + wb - 1)].reshape(n, wb, wa + wb - 1)
     return skewed.max(axis=1)
 
