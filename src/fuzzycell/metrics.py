@@ -168,19 +168,18 @@ def _nasch_point(config, count, index, fd):
     base = ns.base_seed + index * ns.runs  # disjoint seed block per density
     ens = nasch_mod.monte_carlo(initial, fd.warmup + fd.window, ns.runs, base)
     if fd.estimator == "site_count":
-        samples = ens.crossings[:, fd.warmup:].astype(np.float64)
+        sums, scale = ens.crossings[:, fd.warmup:], 1
     else:
-        samples = ens.total_velocity[:, fd.warmup:] / config.road_length
-    flat = samples.ravel()
-    values, counts = np.unique(flat, return_counts=True)
-    probs = counts / flat.size
-    keep = probs >= fd.nasch_threshold
-    states = tuple(
-        (float(v), float(p)) for v, p in zip(values[keep], probs[keep])
-    )
+        sums, scale = ens.total_velocity[:, fd.warmup:], config.road_length
+    # the flow states are the integer sums k, as k / scale: count them exactly
+    counts = np.bincount(sums.ravel())
+    probs = counts / sums.size
+    keep = (counts > 0) & (probs >= fd.nasch_threshold)
+    values = np.flatnonzero(keep) / scale
+    states = tuple((float(v), float(p)) for v, p in zip(values, probs[keep]))
     return NaschFdPoint(
         density=count / config.road_length,
-        mean_flow=float(flat.mean()),
+        mean_flow=float((sums / scale).mean()),
         states=states,
     )
 

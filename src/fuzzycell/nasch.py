@@ -11,8 +11,11 @@ Randomness comes from numpy's PCG64 generator (``numpy.random
 vehicle-index order, whether or not the randomization applies, so a
 trajectory is fully determined by the initial state and the seed.  The
 ensemble runner gives run ``i`` its own generator, seeded ``base_seed +
-i``, and takes its stream a fixed number of steps at a time.  It steps
-all runs together on (vehicles x runs) arrays with carried gaps and is
+i``, and takes its stream a fixed number of steps at a time.  A group of
+runs at a time draws into one float64 scratch of bounded size, which is
+compared with ``p`` into a boolean slow-down mask for every run, so no
+float buffer holds the draws of every run.  The runner steps all runs
+together on (vehicles x runs) arrays with carried gaps and is
 bit-identical to stepping each run individually (see ``monte_carlo``).
 """
 
@@ -187,7 +190,8 @@ class NaschEnsemble:
     crossings: np.ndarray
 
 
-_CHUNK = 64  # steps drawn per run at a time: the draw buffer is runs x _CHUNK x n
+_CHUNK = 64  # steps drawn per run at a time: the slow-down mask is runs x _CHUNK x n
+_DRAW_BYTES = 1 << 20  # float64 scratch a group of runs draws into before the mask
 
 
 def monte_carlo(initial: NaschState, steps: int, runs: int, base_seed: int) -> NaschEnsemble:
@@ -196,7 +200,11 @@ def monte_carlo(initial: NaschState, steps: int, runs: int, base_seed: int) -> N
     Run i has its own generator, seeded ``base_seed + i``, and takes its
     draws in the order of :func:`nasch_step`, ``_CHUNK`` steps of its
     stream at a time; successive draws continue one stream, so each row
-    is exactly what stepping that seed alone gives.  The runs advance
+    is exactly what stepping that seed alone gives.  As many runs as fit
+    in ``_DRAW_BYTES`` (at least one) draw into a shared float64
+    scratch, and each such group is compared with ``p`` into the rows of
+    a runs x ``_CHUNK`` x vehicles boolean mask, allocated once per call
+    and read one step at a time.  The runs advance
     together on (vehicles x runs) arrays of the narrowest integer type
     that holds every value reached.  Gaps are carried, ``gap_i +=
     v_{i+1} - v_i``, which is exact: a gap is a difference of positions
@@ -230,14 +238,17 @@ def monte_carlo(initial: NaschState, steps: int, runs: int, base_seed: int) -> N
     )
     queue, longest = np.full(runs, n), n
     gens = [np.random.default_rng(base_seed + i) for i in range(runs)]
-    draws = np.empty((runs, min(steps, _CHUNK), n))
+    group = max(1, _DRAW_BYTES // (8 * _CHUNK * n))
+    slow = np.empty((runs, min(steps, _CHUNK), n), dtype=bool)
+    scratch = np.empty((min(group, runs), *slow.shape[1:]))
     for t in range(steps):
         k = t % _CHUNK
         if k == 0:
-            block = draws[:, : steps - t]
-            for gen, stream in zip(gens, block):
-                gen.random(out=stream)
-            slow = block < initial.p
+            for g in range(0, runs, group):
+                block = scratch[: runs - g, : steps - t]
+                for gen, stream in zip(gens[g:], block):
+                    gen.random(out=stream)
+                np.less(block, initial.p, out=slow[g : g + len(block), : steps - t])
         vel += vel < v_max  # accelerate: velocities never exceed v_max
         np.minimum(vel, gap, out=vel)
         vel -= slow[:, k].T & (vel > 0)

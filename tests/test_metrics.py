@@ -253,6 +253,31 @@ def test_sweep_site_count_estimator():
     assert point.mean_flow > 0.0
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("estimator", ["mean_velocity", "site_count"])
+def test_nasch_flow_states_match_unique_over_float_samples(monkeypatch, estimator, seed):
+    # the flow states are counted over the integer sums; np.unique over the
+    # float samples k / road_length (or float(k)) gives the same values,
+    # probabilities and mean flow, bit for bit
+    rng = np.random.default_rng(seed)
+    fd = FdSettings(warmup=int(rng.integers(0, 5)), window=int(rng.integers(1, 60)),
+                    estimator=estimator, nasch_threshold=0.0)
+    cfg = sweep_config("nasch", fd)
+    runs, steps, high = cfg.nasch.runs, fd.warmup + fd.window, int(rng.integers(1, 300))
+    grids = [rng.integers(0, high, (runs, steps)) for _ in range(2)]
+    ens = nasch.NaschEnsemble(cfg.road_length, "ring", 3, 0.2, runs, steps, 0,
+                              np.zeros((runs, steps + 1), dtype=np.int64), *grids)
+    monkeypatch.setattr(nasch, "monte_carlo", lambda *args: ens)
+    (point,) = sweep_fundamental_diagram(cfg, densities=[0.25])
+    if estimator == "site_count":
+        samples = ens.crossings[:, fd.warmup:].astype(np.float64).ravel()
+    else:
+        samples = (ens.total_velocity[:, fd.warmup:] / cfg.road_length).ravel()
+    values, counts = np.unique(samples, return_counts=True)
+    assert point.states == tuple(zip(values.tolist(), (counts / samples.size).tolist()))
+    assert point.mean_flow == float(samples.mean())
+
+
 def test_sweep_rejects_bad_density():
     cfg = sweep_config("fcm")
     with pytest.raises(ScenarioValidationError, match="densities"):

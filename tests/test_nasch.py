@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+from fuzzycell import nasch
 from fuzzycell.nasch import (
     NaschState,
     monte_carlo,
@@ -219,3 +220,30 @@ def test_monte_carlo_memory_does_not_grow_with_steps():
 
     # less than one step of draws for every run; an up-front buffer adds 5400
     assert peak_beyond_outputs(6000) - peak_beyond_outputs(600) < 50 * 95 * 8
+
+
+def test_monte_carlo_working_memory_is_bounded():
+    # 200 runs of 95 vehicles: a float64 block of 64 steps of draws for every
+    # run would take 9.3 MiB; the draws go through a 1 MiB scratch instead
+    initial = ring_uniform(95, 100)
+    tracemalloc.start()
+    try:
+        ens = monte_carlo(initial, 600, 200, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(a.nbytes for a in (ens.queue_lengths, ens.total_velocity, ens.crossings))
+    assert peak - outputs < 4 * 2**20
+
+
+@pytest.mark.parametrize("steps", [130, 0])  # 130 leaves a partial last chunk
+@pytest.mark.parametrize("initial", [queue_state(10, 60, p=0.3), ring_uniform(10, 30, p=0.3)])
+@pytest.mark.parametrize("per_group", [1, 3])
+def test_monte_carlo_draw_groups_match_stepped_runs(monkeypatch, per_group, initial, steps):
+    # 7 runs drawn one at a time, or 3 + 3 + 1, give every seed's own rows
+    n = initial.positions.size
+    monkeypatch.setattr(nasch, "_DRAW_BYTES", per_group * 8 * nasch._CHUNK * n)
+    ens = monte_carlo(initial, steps, 7, 11)
+    for i in range(7):
+        rows = (ens.queue_lengths[i], ens.total_velocity[i], ens.crossings[i])
+        assert [row.tolist() for row in rows] == list(_stepped_run(initial, steps, 11 + i))

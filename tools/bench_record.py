@@ -16,7 +16,8 @@ own ``src/``.  In the same alternating order, every repeat also times
 each checkout's full 19-density ``fundamental-diagram`` sweep of
 ``ring_fd_fcm`` and ``ring_fd_nasch`` (``python -m fuzzycell``, wall
 clock from spawn to exit, not scaled by the benchmark's speed probe) and
-keeps the sha256 of its CSV.  It then times the checkout's tier-1 suite
+its peak resident memory (the sweep's own ``ru_maxrss``), and keeps the
+sha256 of its CSV.  It then times the checkout's tier-1 suite
 once.
 
 The output holds the machine (CPU model, cores, Python, numpy), the
@@ -24,7 +25,8 @@ settings, and per checkout its git revision and ``src/`` sha256 (from
 the runner's provenance line), the tier-1 wall time and summary line,
 per workload and end-to-end metric the median, min, quartiles, IQR
 and every value, plus the samples attempted and failed, and per sweep
-the same summary of its wall time with the distinct CSV digests.  Only
+the same summary of its wall time and of its peak resident memory, with
+the distinct CSV digests.  Only
 the standard library is used.
 """
 
@@ -65,20 +67,27 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def run_sweep(root: Path, scenario: str) -> dict:
-    """Wall time of the checkout's ``fundamental-diagram SCENARIO`` and
-    the sha256 of the CSV it writes."""
+    """Wall time and peak resident memory of the checkout's
+    ``fundamental-diagram SCENARIO`` and the sha256 of the CSV it writes.
+
+    The memory is the sweep process's own ``ru_maxrss`` from ``os.wait4``,
+    as ``bench/run.py`` reads it for a sample."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    with tempfile.TemporaryDirectory() as out:
+    with tempfile.TemporaryDirectory() as out, tempfile.TemporaryFile() as err:
         started = time.perf_counter()
-        proc = subprocess.run(
+        proc = subprocess.Popen(
             [sys.executable, "-m", "fuzzycell", "fundamental-diagram", scenario, "--out-dir", out],
-            cwd=root, env=env, capture_output=True, text=True, check=False,
+            cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=err,
         )
+        _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - started
+        proc.returncode = os.waitstatus_to_exitcode(status)
         if proc.returncode != 0:
-            raise RuntimeError(f"{root}: fundamental-diagram {scenario} failed:\n{proc.stderr}")
+            err.seek(0)
+            raise RuntimeError(f"{root}: fundamental-diagram {scenario} failed:\n"
+                               f"{err.read().decode(errors='replace')}")
         digest = hashlib.sha256((Path(out) / f"{scenario}.csv").read_bytes()).hexdigest()
-    return {"wall_s": wall, "sha256": digest}
+    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024, "sha256": digest}
 
 
 def run_tier1(root: Path) -> dict:
@@ -145,8 +154,9 @@ def main(argv=None) -> int:
         for scenario in SWEEPS:
             for label, root in order:
                 sweeps[label][scenario].append(run_sweep(root, scenario))
-                print(f"repeat {repeat} {scenario:13s} {label:8s} "
-                      f"wall_s {sweeps[label][scenario][-1]['wall_s']:.3f}", flush=True)
+                done = sweeps[label][scenario][-1]
+                print(f"repeat {repeat} {scenario:13s} {label:8s} wall_s {done['wall_s']:.3f} "
+                      f"peak_rss_mb {done['peak_rss_mb']:.1f}", flush=True)
 
     record = {"machine": machine(),
               "settings": {"seed": args.seed, "repeats": REPEATS, "seconds": seconds,
@@ -172,7 +182,9 @@ def main(argv=None) -> int:
                 },
             }
         entry["sweeps"] = {
-            scenario: {"unit": "s", **summarize([d["wall_s"] for d in done]),
+            scenario: {"wall_s": {"unit": "s", **summarize([d["wall_s"] for d in done])},
+                       "peak_rss_mb": {"unit": "MB",
+                                       **summarize([d["peak_rss_mb"] for d in done])},
                        "sha256": sorted({d["sha256"] for d in done})}
             for scenario, done in sweeps[label].items()
         }
