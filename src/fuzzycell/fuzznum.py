@@ -1,10 +1,13 @@
 """Discrete fuzzy integers and their arithmetic.
 
-A :class:`FuzzyInt` is a normal fuzzy set over the integers: a finite,
-non-empty support where every value carries a membership grade in (0, 1]
-and at least one grade is exactly 1.  It is the universal value type of
-the simulation (positions, velocities, gaps, vehicle lengths, queue
-lengths are all FuzzyInt).
+A :class:`FuzzyInt` is a fuzzy set over the integers: a finite,
+non-empty support where every value carries a membership grade in (0, 1].
+Sets built from pairs are normal (at least one grade is exactly 1).  The
+model can derive sub-normal ones: ``model.gap`` when its ahead-filter
+drops every grade-1 pair, and every set computed from a sub-normal
+operand.  :attr:`FuzzyInt.is_normal` tells the two apart.  FuzzyInt is
+the universal value type of the simulation (positions, velocities, gaps,
+vehicle lengths, queue lengths are all FuzzyInt).
 
 Binary operations are lifted from crisp integer arithmetic with the
 sup-min extension principle, which on finite supports becomes a max-min
@@ -13,10 +16,18 @@ sweep over support pairs:
     mu_out(z) = max { min(mu_a(x), mu_b(y)) : x op y = z }
 
 Each operation has one production path: every support pair gives a
-candidate value with the smaller of its two grades, and one sort-and-merge
-kernel keeps each distinct value once, with its largest grade.  Its work
-and memory follow the number of support pairs, not the span of the
-values.  :func:`wrap_mod` merges the reduced values the same way.
+candidate value with the smaller of its two grades, and one merge pass
+keeps each distinct value once, with its largest grade.  The pass sorts
+the candidates once (``argsort``), marks where each run of equal values
+starts in a preallocated mask, and reduces the grades gathered in sorted
+order with one ``np.maximum.reduceat`` over those starts.  Its work and
+memory follow the number of support pairs, not the span of the values.
+:func:`wrap_mod` merges the reduced values the same way.  The unary
+operations return their operand itself when they would not change it:
+:func:`dilate` at exponent 1, :func:`truncate` when no grade falls below
+its floor, :func:`wrap_mod` when every value already lies in range.
+The hot path calls ndarray methods and ufuncs only, not numpy's
+Python-level wrappers such as ``np.argsort`` or ``np.flatnonzero``.
 :func:`oracle_ext_op` is a deliberately naive double loop kept free of
 any shortcut so the test suite can cross-check the production path.
 """
@@ -73,8 +84,10 @@ class BadExponentError(FuzzyNumError):
 
 
 class FuzzyInt:
-    """A normal discrete fuzzy set over the integers.
+    """A discrete fuzzy set over the integers.
 
+    The public constructor accepts only normal sets; results derived from
+    sub-normal operands may be sub-normal (see :attr:`is_normal`).
     Instances are immutable; every operation returns a new object, so
     values can be shared freely between concurrent workers.
     """
@@ -86,8 +99,10 @@ class FuzzyInt:
         self._values = values
         self._grades = grades
 
-    # Internal constructor for results that are sorted, unique, normal
-    # and zero-free by construction.  Takes ownership of the arrays.
+    # Internal constructor for results that are sorted, unique and
+    # zero-free by construction.  They are normal only when their inputs
+    # were: ``model.gap`` can filter out every grade-1 pair.  Takes
+    # ownership of the arrays.
     @classmethod
     def _from_arrays(cls, values: np.ndarray, grades: np.ndarray) -> "FuzzyInt":
         obj = cls.__new__(cls)
@@ -108,12 +123,17 @@ class FuzzyInt:
         return self._grades
 
     @property
+    def is_normal(self) -> bool:
+        """True when some support value carries grade 1."""
+        return bool(self._grades.max() == 1.0)
+
+    @property
     def is_crisp(self) -> bool:
         return self._values.size == 1
 
     def grade(self, value: int) -> float:
         """Membership grade of ``value`` (0.0 if outside the support)."""
-        i = np.searchsorted(self._values, value)
+        i = self._values.searchsorted(value)
         if i < self._values.size and self._values[i] == value:
             return float(self._grades[i])
         return 0.0
@@ -252,11 +272,13 @@ def _from_dense_rows(lo: int, grid: np.ndarray) -> list[FuzzyInt]:
 def _max_merge(values: np.ndarray, grades: np.ndarray) -> FuzzyInt:
     """The fuzzy set of candidate (value, grade) pairs: one entry per
     distinct value, carrying the largest of its grades."""
-    order = np.argsort(values)
+    order = values.argsort()
     values = values[order]
-    grades = grades[order]
-    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
-    return FuzzyInt._from_arrays(values[starts], np.maximum.reduceat(grades, starts))
+    first = np.empty(values.size, dtype=bool)
+    first[0] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    return FuzzyInt._from_arrays(values[starts], np.maximum.reduceat(grades[order], starts))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +337,7 @@ def dilate(a: FuzzyInt, e: float) -> FuzzyInt:
 
 def defuzz_argmax(a: FuzzyInt) -> int:
     """The support value with maximal grade; ties break to the smallest."""
-    return int(a._values[int(np.argmax(a._grades))])
+    return int(a._values[a._grades.argmax()])
 
 
 def alpha_cut(a: FuzzyInt, theta: float) -> tuple[int, int]:
@@ -323,7 +345,7 @@ def alpha_cut(a: FuzzyInt, theta: float) -> tuple[int, int]:
     theta = float(theta)
     if not (0.0 < theta <= 1.0):
         raise ValueError(f"alpha-cut threshold {theta!r} not in (0, 1]")
-    idx = np.flatnonzero(a._grades >= theta)
+    idx = (a._grades >= theta).nonzero()[0]
     return int(a._values[idx[0]]), int(a._values[idx[-1]])
 
 
@@ -339,10 +361,12 @@ def truncate(a: FuzzyInt, epsilon: float) -> FuzzyInt:
         raise ValueError(f"truncation grade {epsilon!r} not in [0, 1)")
     if epsilon == 0.0:
         return a
-    keep = a._grades >= min(epsilon, float(a._grades.max()))
-    if keep.all():
+    grades = a._grades
+    floor = min(epsilon, float(grades.max()))
+    if grades.min() >= floor:
         return a
-    return FuzzyInt._from_arrays(a._values[keep], a._grades[keep])
+    keep = grades >= floor
+    return FuzzyInt._from_arrays(a._values[keep], grades[keep])
 
 
 def wrap_mod(a: FuzzyInt, modulus: int) -> FuzzyInt:

@@ -208,10 +208,11 @@ def gap(state: FcmState, n: int) -> FuzzyInt:
     deltas = deltas[ahead]
     grades = grades[ahead]
     out = np.zeros(int(deltas.max()) + 1, dtype=np.float64)
-    for l, gl in lead.vclass.length.to_pairs():
+    length = lead.vclass.length
+    for l, gl in zip(length.values.tolist(), length.grades.tolist()):
         np.maximum.at(out, np.maximum(deltas - l, 0), np.minimum(grades, gl))
-    idx = np.flatnonzero(out)
-    return FuzzyInt._from_arrays(idx.astype(np.int64), out[idx])
+    idx = out.nonzero()[0]
+    return FuzzyInt._from_arrays(idx.astype(np.int64, copy=False), out[idx])
 
 
 def dilation_exponent(velocity: FuzzyInt, v_max: FuzzyInt, alpha: float) -> float:
