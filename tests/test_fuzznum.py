@@ -28,7 +28,7 @@ from fuzzycell import (
     truncate,
     wrap_mod,
 )
-from fuzzycell.fuzznum import _from_dense_rows
+from fuzzycell.fuzznum import _from_dense_rows, _max_merge
 
 from conftest import fuzzy_ints
 
@@ -96,6 +96,15 @@ def test_grade_lookup():
     assert f.grade(5) == 1.0
     assert f.grade(4) == 0.2
     assert f.grade(7) == 0.0
+
+
+def test_is_normal():
+    assert fz((1, 0.5), (2, 1.0)).is_normal
+    assert crisp(0).is_normal
+    sub = FuzzyInt._from_arrays(np.array([1, 4]), np.array([0.5, 0.25]))
+    assert not sub.is_normal
+    with pytest.raises(AttributeError):
+        sub.is_normal = True
 
 
 def test_rendering():
@@ -371,3 +380,80 @@ def test_ext_min_associative_and_matches_nary_oracle(a, b, c):
 def test_ext_ops_commutative(a, b):
     assert ext_add(a, b) == ext_add(b, a)
     assert ext_min(a, b) == ext_min(b, a)
+
+
+# ---------------------------------------------------------------------------
+# the merge kernel and the unary operations against per-pair references
+
+
+@st.composite
+def fuzzy_sets(draw):
+    """A fuzzy set that may be sub-normal, built the way internal results
+    are: through ``FuzzyInt._from_arrays``."""
+    values = sorted(draw(st.sets(st.integers(-20, 20), min_size=1, max_size=8)))
+    grades = [draw(st.floats(0.001, 1.0)) for _ in values]
+    if draw(st.booleans()):
+        grades[draw(st.integers(0, len(values) - 1))] = 1.0
+    return FuzzyInt._from_arrays(np.array(values, dtype=np.int64),
+                                 np.array(grades, dtype=np.float64))
+
+
+_FAR = 2**62
+_candidate_values = st.one_of(
+    st.integers(-3, 3),  # heavy duplicates
+    st.integers(-(10**6), 10**6),
+    st.integers(_FAR - 4, _FAR + 4),
+    st.integers(-_FAR - 4, -_FAR + 4),
+)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(_candidate_values, st.floats(0.001, 1.0)), min_size=1, max_size=40))
+def test_max_merge_matches_dict_reference(candidates):
+    best = {}
+    for v, g in candidates:
+        best[v] = max(g, best.get(v, 0.0))
+    values = np.array([v for v, _ in candidates], dtype=np.int64)
+    grades = np.array([g for _, g in candidates], dtype=np.float64)
+    got = _max_merge(values, grades)
+    assert got.to_pairs() == sorted(best.items())
+    assert got.values.dtype == np.int64 and got.grades.dtype == np.float64
+    assert not got.values.flags.writeable and not got.grades.flags.writeable
+    # the candidate arrays are read, not reordered in place
+    assert values.tolist() == [v for v, _ in candidates]
+
+
+def test_max_merge_single_candidate():
+    got = _max_merge(np.array([-(2**62)], dtype=np.int64), np.array([0.25]))
+    assert got.to_pairs() == [(-(2**62), 0.25)]
+    assert not got.is_normal
+
+
+@settings(max_examples=100)
+@given(a=fuzzy_sets(), data=st.data())
+def test_truncate_matches_per_pair_reference(a, data):
+    # values graded at least epsilon survive; when none is, which only a
+    # sub-normal set allows, its top-graded values survive instead
+    top = float(a.grades.max())
+    any_epsilon = st.floats(0.0, 1.0, exclude_max=True)
+    above_top = st.floats(top, 1.0, exclude_max=True) if top < 1.0 else any_epsilon
+    epsilon = data.draw(any_epsilon | above_top, label="epsilon")
+    pairs = a.to_pairs()
+    want = [(v, g) for v, g in pairs if g >= epsilon] or [(v, g) for v, g in pairs if g == top]
+    got = truncate(a, epsilon)
+    assert got.to_pairs() == want
+    if len(want) == len(pairs):
+        assert got is a
+
+
+@settings(max_examples=80)
+@given(a=fuzzy_sets(), e=st.floats(0.0, 1.0, exclude_min=True))
+def test_dilate_matches_per_pair_reference(a, e):
+    got = dilate(a, e)
+    if e == 1.0:
+        assert got is a
+    assert got.values.tolist() == a.values.tolist()
+    for g_in, g_out in zip(a.grades.tolist(), got.grades.tolist()):
+        assert g_out == pytest.approx(math.pow(g_in, e), rel=1e-15)
+        assert g_in <= g_out <= 1.0
+    assert not got.grades.flags.writeable

@@ -182,6 +182,88 @@ def test_gap_all_mode_without_candidates_returns_v_max(paper_single_class):
     assert gap_to_all(st, 0) == paper_single_class.v_max
 
 
+def gap_reference(state, n):
+    """Per-pair oracle of the gap: every (leader value, own value, leader
+    length) triple with the leader value strictly ahead gives max(d - l, 0)
+    at the smallest of its three grades; values merge by max."""
+    count = len(state.vehicles)
+    if state.boundary == "ring":
+        lead = (n + 1) % count if count > 1 else None
+    else:
+        lead = n + 1 if n + 1 < count else None
+    veh = state.vehicles[n]
+    if lead is None:
+        return veh.vclass.v_max.to_pairs()
+    leader = state.vehicles[lead]
+    best = {}
+    for x, gx in leader.position.to_pairs():
+        for y, gy in veh.position.to_pairs():
+            d = (x - y) % state.road_length if state.boundary == "ring" else x - y
+            if d <= 0:
+                continue
+            for length, gl in leader.vclass.length.to_pairs():
+                z = max(d - length, 0)
+                best[z] = max(best.get(z, 0.0), min(gx, gy, gl))
+    return sorted(best.items()) or [(0, 1.0)]
+
+
+def _subnormal_pair():
+    # the follower's only value, 5, is ahead of the leader's grade-1 value 4,
+    # so the gap keeps only pairs graded 0.5 and 0.3: {0.5/0; 0.5/1; 0.3/2; 0.3/3}
+    cls = VehicleClass("c", fz((0, 1.0), (1, 0.6)), crisp(3), crisp(1))
+    follower = FcmVehicle(0, cls, crisp(5), crisp(0))
+    leader = FcmVehicle(1, cls, fz((4, 1.0), (6, 0.5), (8, 0.3)), crisp(0))
+    return FcmState((follower, leader), 50, "open", alpha=0.9, step=1)
+
+
+def test_gap_is_subnormal_when_the_filter_drops_every_grade_one_pair():
+    st = _subnormal_pair()
+    got = gap(st, 0)
+    assert got.to_pairs() == [(0, 0.5), (1, 0.5), (2, 0.3), (3, 0.3)]
+    assert not got.is_normal
+    # the update propagates it: the velocity and then the position are sub-normal
+    nxt = step(st)
+    assert nxt.vehicles[0].velocity.to_pairs() == [(0, 0.5), (1, 0.5)]
+    assert not nxt.vehicles[0].velocity.is_normal
+    assert not nxt.vehicles[0].position.is_normal
+    assert nxt.vehicles[1].velocity.is_normal
+
+
+@hs.composite
+def _overlapping_fleets(draw):
+    """1-4 vehicles on a short open or ring road with arbitrary, possibly
+    overlapping or out-of-order position supports (a state after step 0),
+    and class lengths of one to three values."""
+    boundary = draw(hs.sampled_from(["open", "ring"]))
+    road = draw(hs.integers(2, 14))
+    high = road - 1 if boundary == "ring" else road + 3
+
+    def normal_set(top, max_size):
+        values = sorted(draw(hs.sets(hs.integers(0, top), min_size=1, max_size=max_size)))
+        grades = [draw(hs.floats(0.05, 1.0)) for _ in values]
+        grades[draw(hs.integers(0, len(values) - 1))] = 1.0
+        return make_fuzzy(list(zip(values, grades)))
+
+    classes = [VehicleClass("c", normal_set(3, 3), crisp(3), crisp(1))
+               for _ in range(draw(hs.integers(1, 2)))]
+    vehicles = tuple(
+        FcmVehicle(i, draw(hs.sampled_from(classes)), normal_set(high, 4), crisp(0))
+        for i in range(draw(hs.integers(1, 4)))
+    )
+    return FcmState(vehicles, road, boundary, step=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_overlapping_fleets())
+@example(_subnormal_pair())
+def test_gap_matches_per_pair_reference(st):
+    for n in range(len(st.vehicles)):
+        got = gap(st, n)
+        assert got.to_pairs() == gap_reference(st, n)
+        assert got.values.dtype == np.int64
+        assert not got.values.flags.writeable and not got.grades.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # dilation exponent
 
@@ -485,6 +567,33 @@ def test_engine_step_matches_composed_reference_ops(st):
         p_ref = advance_position(veh.position, v_ref, e_ref, st.epsilon, modulus)
         assert nxt.vehicles[i].velocity == v_ref
         assert nxt.vehicles[i].position == p_ref
+
+
+def reference_update(state):
+    """(position, velocity) of each vehicle after one parallel update
+    composed from the reference per-vehicle ops."""
+    modulus = state.road_length if state.boundary == "ring" else None
+    out = []
+    for i, veh in enumerate(state.vehicles):
+        v = update_velocity(state, i)
+        e = dilation_exponent(v, veh.vclass.v_max, state.alpha)
+        out.append((advance_position(veh.position, v, e, state.epsilon, modulus), v))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(fleets(), hs.integers(1, 6))
+@example(_subnormal_pair(), 6)
+def test_multi_step_runs_keep_the_invariants(st, k):
+    for _ in range(k):
+        nxt = step(st)
+        for veh, (p_ref, v_ref) in zip(nxt.vehicles, reference_update(st), strict=True):
+            assert veh.position == p_ref and veh.velocity == v_ref
+            assert veh.position.values[0] >= 0 and veh.velocity.values[0] >= 0
+            if st.boundary == "ring":
+                assert veh.position.values[-1] < st.road_length
+            assert veh.velocity.values[-1] <= veh.vclass.v_max.values[-1]
+        st = nxt
 
 
 @settings(max_examples=60, deadline=None)
