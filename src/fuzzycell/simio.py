@@ -470,11 +470,7 @@ def fcm_membership_row(state) -> np.ndarray:
 
 def nasch_occupancy_row(state) -> np.ndarray:
     """Crisp occupancy of one state (grade 1 where a vehicle sits)."""
-    road = state.road_length
-    pos = state.positions % road if state.boundary == "ring" else state.positions
-    row = np.zeros(road, dtype=np.float64)
-    row[pos[(pos >= 0) & (pos < road)]] = 1.0
-    return row
+    return (state.cells >= 0).astype(np.float64)
 
 
 def fcm_membership_frames(states) -> np.ndarray:
