@@ -6,13 +6,18 @@ import pytest
 
 from fuzzycell import defuzz_argmax, model, nasch
 from fuzzycell.cli import build_parser, main
-from fuzzycell.metrics import empirical_queue_distribution, queue_series
+from fuzzycell.metrics import (
+    empirical_queue_distribution,
+    queue_series,
+    sweep_fundamental_diagram,
+)
 from fuzzycell.simio import (
     build_fcm_state,
     build_nasch_state,
     fcm_membership_frames,
     load_scenario,
     nasch_frames,
+    write_fd_csv,
     write_queue_csv,
     write_spacetime,
 )
@@ -257,6 +262,46 @@ def test_bad_densities_exit_1(tmp_path):
     path.write_text(RING_SCENARIO)
     assert main(["fundamental-diagram", str(path), "--densities", "abc"]) == 1
     assert main(["fundamental-diagram", str(path), "--densities", "1.7"]) == 1
+    assert main(["fundamental-diagram", str(path), "--densities", ","]) == 1
+
+
+@pytest.mark.parametrize(
+    "text, wrote",
+    [
+        (
+            RING_FCM_SCENARIO + "  - {kind: fundamental, path: fd.csv}\n"
+            + "fd: {densities: [0.2, 0.5], warmup: 5, window: 10}\n",
+            ["spacetime", "queue", "fundamental"],
+        ),
+        (
+            RING_SCENARIO.replace("window: 20", "window: 10")
+            + "queue: {class: car, count: 6, spacing: 4}\n"
+            + "outputs:\n  - {kind: queue, path: queue.csv}\n"
+            + "  - {kind: spacetime, path: ring.pgm}\n  - {kind: fundamental, path: fd.csv}\n",
+            ["queue", "spacetime", "fundamental"],
+        ),
+    ],
+    ids=["fcm", "nasch"],
+)
+def test_run_writes_diagram_and_ensemble_outputs(tmp_path, capsys, text, wrote):
+    # run writes a declared fundamental output, and a nasch queue output
+    # from the ensemble, with the bytes the library functions give
+    path = tmp_path / "ring.yaml"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" -> ")[0] for line in lines] == [f"wrote {kind}" for kind in wrote]
+    config = load_scenario(text)
+    assert config.fd.densities == (0.2, 0.5) and config.fd.warmup == 5
+    assert config.fd.window == 10
+    write_fd_csv(sweep_fundamental_diagram(config), tmp_path / "fd.csv")
+    assert (out / "fd.csv").read_bytes() == (tmp_path / "fd.csv").read_bytes()
+    if config.model == "nasch":
+        ns = config.nasch
+        ensemble = nasch.monte_carlo(build_nasch_state(config), config.steps, ns.runs, ns.base_seed)
+        write_queue_csv(empirical_queue_distribution(ensemble), tmp_path / "queue.csv")
+        assert (out / "queue.csv").read_bytes() == (tmp_path / "queue.csv").read_bytes()
 
 
 def test_compare_writes_both(small_scenario, tmp_path, capsys):

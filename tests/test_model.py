@@ -543,6 +543,37 @@ def fleets(draw, boundaries=("open", "ring"), max_road=30):
     return FcmState(tuple(vehicles), road, boundary, alpha, epsilon)
 
 
+def _long_leader_fleet(boundary):
+    """Two vehicles whose leader length {0.3/0; 1/2; 0.5/3} spans several
+    values, on 6 cells, where cap 4 + length 3 reaches around a ring: the
+    gap clamps at 0 (distances up to the length) and at cap (distance 5
+    past length 0)."""
+    cls = VehicleClass("long", fz((0, 0.3), (2, 1.0), (3, 0.5)), fz((2, 0.4), (4, 1.0)),
+                       fz((0, 0.3), (1, 1.0), (2, 0.6)))
+    vehicles = (
+        FcmVehicle(0, cls, fz((0, 1.0), (1, 0.6)), fz((1, 1.0), (2, 0.5))),
+        FcmVehicle(1, cls, fz((4, 0.5), (5, 1.0)), fz((0, 0.7), (3, 1.0))),
+    )
+    return FcmState(vehicles, 6, boundary, alpha=0.6, epsilon=0.05)
+
+
+def _equal_distinct_classes_fleet():
+    """Two equal but distinct class objects, interleaved with a third
+    class: the engine indexes classes by identity, in order of first use."""
+    def car():
+        return VehicleClass("car", fz((0, 1.0), (1, 0.4)), fz((2, 0.3), (3, 1.0)),
+                            fz((0, 0.2), (1, 1.0)))
+    first, second = car(), car()
+    assert first == second and first is not second
+    truck = VehicleClass("truck", crisp(2), fz((1, 0.5), (2, 1.0)), crisp(1))
+    kinds = (first, second, truck, first, truck, second)
+    vehicles = tuple(
+        FcmVehicle(i, c, fz((3 * i, 1.0), (3 * i + 1, 0.5)), fz((0, 0.6), (1, 1.0)))
+        for i, c in enumerate(kinds)
+    )
+    return FcmState(vehicles, 20, "ring", alpha=0.8, epsilon=0.01)
+
+
 def velocity_sums(state, theta):
     """Oracle for flow summaries: sums of defuzzified values and cut bounds,
     a sub-normal velocity cut at its maximal grade."""
@@ -558,6 +589,9 @@ def velocity_sums(state, theta):
 
 @settings(max_examples=300, deadline=None)
 @given(fleets())
+@example(_long_leader_fleet("ring"))
+@example(_long_leader_fleet("open"))
+@example(_equal_distinct_classes_fleet())
 def test_engine_step_matches_composed_reference_ops(st):
     nxt = step(st)
     modulus = st.road_length if st.boundary == "ring" else None
