@@ -293,8 +293,7 @@ def test_run_writes_diagram_and_ensemble_outputs(tmp_path, capsys, text, wrote):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" -> ")[0] for line in lines] == [f"wrote {kind}" for kind in wrote]
     config = load_scenario(text)
-    assert config.fd.densities == (0.2, 0.5) and config.fd.warmup == 5
-    assert config.fd.window == 10
+    assert (config.fd.densities, config.fd.warmup, config.fd.window) == ((0.2, 0.5), 5, 10)
     write_fd_csv(sweep_fundamental_diagram(config), tmp_path / "fd.csv")
     assert (out / "fd.csv").read_bytes() == (tmp_path / "fd.csv").read_bytes()
     if config.model == "nasch":

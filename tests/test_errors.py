@@ -47,10 +47,6 @@ def _set(key, value):
     return _document(lambda doc: doc.__setitem__(key, value))
 
 
-def _block(key, **fields):
-    return _set(key, fields)
-
-
 def _class(**fields):
     return _document(lambda doc: doc["classes"][0].update(fields))
 
@@ -84,20 +80,28 @@ PARSE = ScenarioParseError
 
 CASES = {
     # NaschSettings
-    "nasch_v_max": (_block("nasch", v_max=0), VALIDATION, "scenario.nasch.v_max: must be at least 1"),
-    "nasch_p": (_block("nasch", p=1.5), VALIDATION, "scenario.nasch.p: must lie in [0, 1]"),
-    "nasch_runs": (_block("nasch", runs=0), VALIDATION, "scenario.nasch.runs: must be at least 1"),
+    "nasch_v_max": (
+        _set("nasch", {"v_max": 0}), VALIDATION, "scenario.nasch.v_max: must be at least 1",
+    ),
+    "nasch_p": (_set("nasch", {"p": 1.5}), VALIDATION, "scenario.nasch.p: must lie in [0, 1]"),
+    "nasch_runs": (
+        _set("nasch", {"runs": 0}), VALIDATION, "scenario.nasch.runs: must be at least 1",
+    ),
     # FdSettings
     "fd_estimator": (
-        _block("fd", estimator="median"), VALIDATION,
+        _set("fd", {"estimator": "median"}), VALIDATION,
         "scenario.fd.estimator: unknown estimator 'median'",
     ),
-    "fd_theta": (_block("fd", theta=0), VALIDATION, "scenario.fd.theta: must lie in (0, 1]"),
+    "fd_theta": (_set("fd", {"theta": 0}), VALIDATION, "scenario.fd.theta: must lie in (0, 1]"),
     # ScenarioConfig
     "model": (_set("model", "cfd"), VALIDATION, "scenario.model: unknown model 'cfd'"),
-    "boundary": (_set("boundary", "loop"), VALIDATION, "scenario.boundary: unknown boundary 'loop'"),
+    "boundary": (
+        _set("boundary", "loop"), VALIDATION, "scenario.boundary: unknown boundary 'loop'",
+    ),
     "epsilon": (_set("epsilon", 1.0), VALIDATION, "scenario.epsilon: must lie in [0, 1)"),
-    "no_classes": (_set("classes", []), VALIDATION, "scenario.classes: at least one class required"),
+    "no_classes": (
+        _set("classes", []), VALIDATION, "scenario.classes: at least one class required",
+    ),
     "duplicate_class_names": (
         _document(lambda doc: doc["classes"].append(dict(doc["classes"][0]))), VALIDATION,
         "scenario.classes: class names must be unique",
@@ -136,11 +140,11 @@ CASES = {
         "scenario.classes[0]: class 'car': v_max needs a positive support value",
     ),
     "queue_count": (
-        _block("queue", **{"class": "car", "count": 0}), VALIDATION,
+        _set("queue", {"class": "car", "count": 0}), VALIDATION,
         "scenario.queue.count: must be at least 1",
     ),
     "queue_spacing": (
-        _block("queue", **{"class": "car", "count": 2, "spacing": 0}), VALIDATION,
+        _set("queue", {"class": "car", "count": 2, "spacing": 0}), VALIDATION,
         "scenario.queue.spacing: must be at least 1",
     ),
     "unreadable_file": (
