@@ -30,6 +30,12 @@ construction and on ``dataclasses.replace``, raising a field-path
 document, a command-line override and a sweep argument pass the same
 checks.  An omitted ``nasch`` or ``fd`` block takes the defaults.
 
+The dataclass fields are the schema: :func:`load_scenario` and
+:func:`dump_scenario` read each scalar field's key, YAML type and
+default from them.  Every mapping accepts only the keys its config type
+knows, besides the document's ``queue`` and a fleet entry's ``class``;
+any other key is a :class:`ScenarioParseError` naming its path.
+
 Outputs: CSV time series with ``repr``-formatted floats (stable bytes
 for golden-file comparison) and binary PGM (P5) space-time images, one
 row per time step, one column per cell, black = membership 1.  Both are
@@ -43,7 +49,7 @@ through the same writers.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -215,6 +221,10 @@ class ScenarioConfig:
 # loading
 
 
+# The YAML types a scalar config field accepts, by the field's annotation.
+_SCALAR_TYPES = {"int": int, "float": (int, float), "str": str, "tuple[float, ...]": list}
+
+
 def _need(mapping, key, types, path):
     if key not in mapping:
         raise ScenarioParseError(f"{path}: missing required field '{key}'")
@@ -225,21 +235,44 @@ def _need(mapping, key, types, path):
 
 
 def _get(mapping, key, types, path, default):
-    if key not in mapping or mapping[key] is None:
+    if mapping.get(key) is None:
         return default
-    value = mapping[key]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise ScenarioParseError(f"{path}.{key}: expected {types}, got {type(value).__name__}")
-    return value
+    return _need(mapping, key, types, path)
+
+
+def _known(raw, path, keys):
+    """Check that ``raw`` is a mapping with no key outside ``keys``."""
+    if not isinstance(raw, dict):
+        raise ScenarioParseError(f"{path}: expected a mapping")
+    for key in raw:
+        if key not in keys:
+            raise ScenarioParseError(f"{path}.{key}: unknown field")
+
+
+def _scalar_fields(raw, config_type, path, extras=()) -> dict:
+    """Read the scalar fields of ``config_type`` from the mapping ``raw``,
+    which may hold no key but the type's fields and ``extras``.  A field
+    without a default is required."""
+    _known(raw, path, {f.name for f in fields(config_type)}.union(extras))
+    values = {}
+    for f in fields(config_type):
+        types = _SCALAR_TYPES.get(f.type)
+        if types is None:
+            continue
+        if f.default is MISSING:
+            value = _need(raw, f.name, types, path)
+        else:
+            value = _get(raw, f.name, types, path, f.default)
+        values[f.name] = float(value) if f.type == "float" else value
+    return values
 
 
 def _fuzzy_literal(raw, path) -> FuzzyInt:
-    if isinstance(raw, bool):
-        raise ScenarioParseError(f"{path}: expected integer or [value, grade] pairs")
     if isinstance(raw, int):
         return crisp(raw)
     if not isinstance(raw, list) or not all(
-        isinstance(p, list) and len(p) == 2 for p in raw
+        isinstance(p, list) and len(p) == 2 and not any(isinstance(x, bool) for x in p)
+        for p in raw
     ):
         raise ScenarioParseError(f"{path}: expected integer or [value, grade] pairs")
     try:
@@ -256,19 +289,12 @@ def load_scenario(text: str) -> ScenarioConfig:
         raise ScenarioParseError(f"invalid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a mapping")
-
-    model = _need(doc, "model", str, "scenario")
-    road_length = _need(doc, "road_length", int, "scenario")
-    boundary = _get(doc, "boundary", str, "scenario", ScenarioConfig.boundary)
-    steps = _need(doc, "steps", int, "scenario")
-    alpha = float(_get(doc, "alpha", (int, float), "scenario", ScenarioConfig.alpha))
-    epsilon = float(_get(doc, "epsilon", (int, float), "scenario", ScenarioConfig.epsilon))
+    scalars = _scalar_fields(doc, ScenarioConfig, "scenario", extras=("queue",))
 
     classes = []
     for i, raw in enumerate(_need(doc, "classes", list, "scenario")):
         path = f"scenario.classes[{i}]"
-        if not isinstance(raw, dict):
-            raise ScenarioParseError(f"{path}: expected a mapping")
+        _known(raw, path, ("name", "length", "v_max", "accel"))
         name = _need(raw, "name", str, path)
         try:
             cls = VehicleClass(
@@ -286,8 +312,7 @@ def load_scenario(text: str) -> ScenarioConfig:
     fleet = []
     for i, raw in enumerate(_get(doc, "fleet", list, "scenario", [])):
         path = f"scenario.fleet[{i}]"
-        if not isinstance(raw, dict):
-            raise ScenarioParseError(f"{path}: expected a mapping")
+        _known(raw, path, ("class", "position", "velocity"))
         cname = _need(raw, "class", str, path)
         position = _fuzzy_literal(_need(raw, "position", (int, list), path), f"{path}.position")
         velocity = _fuzzy_literal(_get(raw, "velocity", (int, list), path, 0), f"{path}.velocity")
@@ -295,6 +320,7 @@ def load_scenario(text: str) -> ScenarioConfig:
     queue_raw = _get(doc, "queue", dict, "scenario", None)
     if queue_raw is not None:
         path = "scenario.queue"
+        _known(queue_raw, path, ("class", "count", "start", "spacing"))
         cname = _need(queue_raw, "class", str, path)
         if cname not in {c.name for c in classes}:
             raise ScenarioValidationError(f"{path}.class: unknown class {cname!r}")
@@ -309,47 +335,22 @@ def load_scenario(text: str) -> ScenarioConfig:
             fleet.append(FleetEntry(cname, crisp(start + k * spacing), crisp(0)))
 
     nasch_raw = _get(doc, "nasch", dict, "scenario", {})
-    path = "scenario.nasch"
-    nasch = NaschSettings(
-        v_max=_get(nasch_raw, "v_max", int, path, NaschSettings.v_max),
-        p=float(_get(nasch_raw, "p", (int, float), path, NaschSettings.p)),
-        runs=_get(nasch_raw, "runs", int, path, NaschSettings.runs),
-        base_seed=_get(nasch_raw, "base_seed", int, path, NaschSettings.base_seed),
-    )
-
+    nasch = NaschSettings(**_scalar_fields(nasch_raw, NaschSettings, "scenario.nasch"))
     fd_raw = _get(doc, "fd", dict, "scenario", {})
-    path = "scenario.fd"
-    fd = FdSettings(
-        densities=_get(fd_raw, "densities", list, path, FdSettings.densities),
-        warmup=_get(fd_raw, "warmup", int, path, FdSettings.warmup),
-        window=_get(fd_raw, "window", int, path, FdSettings.window),
-        estimator=_get(fd_raw, "estimator", str, path, FdSettings.estimator),
-        nasch_threshold=float(
-            _get(fd_raw, "nasch_threshold", (int, float), path, FdSettings.nasch_threshold)
-        ),
-        theta=float(_get(fd_raw, "theta", (int, float), path, FdSettings.theta)),
-    )
+    fd = FdSettings(**_scalar_fields(fd_raw, FdSettings, "scenario.fd"))
     # A document rule, not a config rule: ``compare`` runs a nasch
     # scenario's configuration as model fcm, whatever its estimator.
-    if fd.estimator == "site_count" and model == "fcm":
+    if fd.estimator == "site_count" and scalars["model"] == "fcm":
         raise ScenarioValidationError(
-            f"{path}.estimator: site_count applies to the nasch model only"
+            "scenario.fd.estimator: site_count applies to the nasch model only"
         )
 
-    outputs = []
-    for i, raw in enumerate(_get(doc, "outputs", list, "scenario", [])):
-        path = f"scenario.outputs[{i}]"
-        if not isinstance(raw, dict):
-            raise ScenarioParseError(f"{path}: expected a mapping")
-        outputs.append(OutputSpec(_need(raw, "kind", str, path), _need(raw, "path", str, path)))
-
+    outputs = [
+        OutputSpec(**_scalar_fields(raw, OutputSpec, f"scenario.outputs[{i}]"))
+        for i, raw in enumerate(_get(doc, "outputs", list, "scenario", []))
+    ]
     return ScenarioConfig(
-        model=model,
-        road_length=road_length,
-        boundary=boundary,
-        steps=steps,
-        alpha=alpha,
-        epsilon=epsilon,
+        **scalars,
         classes=tuple(classes),
         fleet=tuple(fleet),
         nasch=nasch,
@@ -372,35 +373,28 @@ def _fuzzy_doc(f: FuzzyInt):
 
 def dump_scenario(config: ScenarioConfig) -> str:
     """Serialize a configuration; load_scenario(dump_scenario(c)) == c."""
-    doc = {
-        "model": config.model,
-        "road_length": config.road_length,
-        "boundary": config.boundary,
-        "steps": config.steps,
-        "alpha": config.alpha,
-        "epsilon": config.epsilon,
-        "classes": [
-            {
-                "name": c.name,
-                "length": _fuzzy_doc(c.length),
-                "v_max": _fuzzy_doc(c.v_max),
-                "accel": _fuzzy_doc(c.accel),
-            }
-            for c in config.classes
-        ],
-        "fleet": [
-            {
-                "class": e.class_name,
-                "position": _fuzzy_doc(e.position),
-                "velocity": _fuzzy_doc(e.velocity),
-            }
-            for e in config.fleet
-        ],
-        "nasch": asdict(config.nasch),
-        "fd": {**asdict(config.fd), "densities": list(config.fd.densities)},
-    }
+    doc = {f.name: getattr(config, f.name) for f in fields(config) if f.type in _SCALAR_TYPES}
+    doc["classes"] = [
+        {
+            "name": c.name,
+            "length": _fuzzy_doc(c.length),
+            "v_max": _fuzzy_doc(c.v_max),
+            "accel": _fuzzy_doc(c.accel),
+        }
+        for c in config.classes
+    ]
+    doc["fleet"] = [
+        {
+            "class": e.class_name,
+            "position": _fuzzy_doc(e.position),
+            "velocity": _fuzzy_doc(e.velocity),
+        }
+        for e in config.fleet
+    ]
+    doc["nasch"] = asdict(config.nasch)
+    doc["fd"] = {**asdict(config.fd), "densities": list(config.fd.densities)}
     if config.outputs:
-        doc["outputs"] = [{"kind": o.kind, "path": o.path} for o in config.outputs]
+        doc["outputs"] = [asdict(o) for o in config.outputs]
     return yaml.safe_dump(doc, sort_keys=False)
 
 

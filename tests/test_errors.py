@@ -12,7 +12,9 @@ import pytest
 import yaml
 
 from fuzzycell import crisp, wrap_mod
+from fuzzycell.metrics import empirical_queue_distribution
 from fuzzycell.model import FcmState, FcmVehicle, VehicleClass, ring_state
+from fuzzycell.nasch import NaschEnsemble, NaschState
 from fuzzycell.simio import (
     ScenarioError,
     ScenarioParseError,
@@ -67,6 +69,16 @@ def _fcm_state(*vehicles, road_length=30):
 
 def _vehicle(position, velocity):
     return lambda tmp_path: FcmVehicle(0, CAR, crisp(position), crisp(velocity))
+
+
+def _nasch_state(positions=(), road_length=100, boundary="open"):
+    velocities = [0] * len(positions)
+    return lambda tmp_path: NaschState(road_length, boundary, positions, velocities, 3, 0.2, 0)
+
+
+def _empty_ensemble(tmp_path):
+    none = np.zeros((0, 4), dtype=np.int64)
+    empirical_queue_distribution(NaschEnsemble(30, "open", 3, 0.2, 0, 3, 0, none, none, none))
 
 
 def _nasch_out_of_order(tmp_path):
@@ -147,6 +159,32 @@ CASES = {
         _set("queue", {"class": "car", "count": 2, "spacing": 0}), VALIDATION,
         "scenario.queue.spacing: must be at least 1",
     ),
+    "bool_value_in_fuzzy_pair": (
+        _class(v_max=[[True, 1.0]]), PARSE,
+        "scenario.classes[0].v_max: expected integer or [value, grade] pairs",
+    ),
+    "bool_grade_in_fuzzy_pair": (
+        _class(v_max=[[2, True]]), PARSE,
+        "scenario.classes[0].v_max: expected integer or [value, grade] pairs",
+    ),
+    "unknown_top_level_key": (_set("alfa", 0.5), PARSE, "scenario.alfa: unknown field"),
+    "unknown_class_key": (
+        _class(lenght=0), PARSE, "scenario.classes[0].lenght: unknown field",
+    ),
+    "unknown_fleet_key": (
+        _document(lambda doc: doc["fleet"][0].update(velocty=3)), PARSE,
+        "scenario.fleet[0].velocty: unknown field",
+    ),
+    "unknown_queue_key": (
+        _set("queue", {"class": "car", "count": 2, "spacin": 2}), PARSE,
+        "scenario.queue.spacin: unknown field",
+    ),
+    "unknown_nasch_key": (_set("nasch", {"rnus": 10}), PARSE, "scenario.nasch.rnus: unknown field"),
+    "unknown_fd_key": (_set("fd", {"warmpu": 7}), PARSE, "scenario.fd.warmpu: unknown field"),
+    "unknown_output_key": (
+        _set("outputs", [{"kind": "queue", "path": "q.csv", "extra": 1}]), PARSE,
+        "scenario.outputs[0].extra: unknown field",
+    ),
     "unreadable_file": (
         lambda tmp_path: load_scenario_file(tmp_path / "none.yaml"), ScenarioError,
         "cannot read scenario {tmp}/none.yaml: [Errno 2] No such file or directory: "
@@ -189,6 +227,18 @@ CASES = {
         lambda tmp_path: ring_state(CAR, 3, 4), ValueError,
         "cannot place more vehicles than cells on the ring",
     ),
+    "nasch_boundary": (
+        _nasch_state(boundary="loop"), ValueError, "boundary must be 'open' or 'ring'",
+    ),
+    "nasch_road_length": (
+        _nasch_state(road_length=0), ValueError, "road_length must be at least 1",
+    ),
+    "nasch_ring_span": (
+        _nasch_state([0, 100], boundary="ring"), ValueError,
+        "ring vehicles must occupy distinct cells",
+    ),
+    # metrics
+    "empty_ensemble": (_empty_ensemble, ValueError, "empty ensemble"),
 }
 
 

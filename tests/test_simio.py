@@ -1,13 +1,21 @@
 """Scenario loading/serialization, CSV and PGM output."""
 
-from dataclasses import replace
+import copy
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
+import yaml
 
 from fuzzycell import crisp, make_fuzzy
 from fuzzycell.metrics import FdPoint, NaschFdPoint
+from fuzzycell.model import VehicleClass
 from fuzzycell.simio import (
+    FdSettings,
+    FleetEntry,
+    NaschSettings,
+    OutputSpec,
+    ScenarioConfig,
     ScenarioError,
     ScenarioParseError,
     ScenarioValidationError,
@@ -182,6 +190,64 @@ def test_queue_shorthand_requires_known_class():
 def test_round_trip_builtin(name):
     cfg = load_builtin(name)
     assert load_scenario(dump_scenario(cfg)) == cfg
+
+
+# A configuration that sets every field of every config type away from
+# its default, so that its dump writes every key the schema has.
+FULL = ScenarioConfig(
+    model="nasch",
+    road_length=40,
+    boundary="ring",
+    steps=7,
+    alpha=0.5,
+    epsilon=0.02,
+    classes=(VehicleClass("truck", crisp(1), crisp(2), crisp(1)),),
+    fleet=(FleetEntry("truck", crisp(3), crisp(1)),),
+    nasch=NaschSettings(v_max=2, p=0.3, runs=5, base_seed=7),
+    fd=FdSettings(
+        densities=(0.2, 0.5), warmup=3, window=9, estimator="site_count",
+        nasch_threshold=0.2, theta=0.9,
+    ),
+    outputs=(OutputSpec("queue", "q.csv"),),
+)
+FULL_DOC = yaml.safe_load(dump_scenario(FULL))
+
+
+def _key_paths(node, path=()):
+    """Every mapping key in a loaded document, as a path of keys and indexes."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield (*path, key)
+            yield from _key_paths(value, (*path, key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _key_paths(value, (*path, i))
+
+
+def _dotted(path):
+    return "scenario" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+
+def test_full_config_sets_every_field():
+    for config in (FULL, FULL.nasch, FULL.fd):
+        for f in fields(config):
+            default = f.default if f.default_factory is MISSING else f.default_factory()
+            assert getattr(config, f.name) != default, f"{type(config).__name__}.{f.name}"
+
+
+@pytest.mark.parametrize("key_path", list(_key_paths(FULL_DOC)), ids=_dotted)
+def test_every_dumped_key_loads_and_its_misspelling_is_rejected(key_path):
+    doc = copy.deepcopy(FULL_DOC)
+    assert load_scenario(yaml.safe_dump(doc, sort_keys=False)) == FULL
+    *path, key = key_path
+    mapping = doc
+    for k in path:
+        mapping = mapping[k]
+    misspelled = key + key[-1]
+    mapping[misspelled] = mapping.pop(key)
+    with pytest.raises(ScenarioParseError) as caught:
+        load_scenario(yaml.safe_dump(doc, sort_keys=False))
+    assert str(caught.value) == f"{_dotted(path)}.{misspelled}: unknown field"
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,11 @@ the runner's provenance line), the tier-1 wall time and summary line,
 per workload and end-to-end metric the median, min, quartiles, IQR
 and every value, plus the samples attempted and failed, and per sweep
 the same summary of its wall time and of its peak resident memory, with
-the distinct CSV digests.  Only
-the standard library is used.
+the distinct CSV digests.  For each checkout after the first, it also
+holds the per-pair ratio of that checkout to the first in every repeat,
+summarized the same way, for each end-to-end metric of
+``BENCHMARK.json`` on each workload and for each sweep's wall time and
+peak resident memory.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -112,6 +115,11 @@ def summarize(values: list[float]) -> dict:
             "iqr": q3 - q1, "values": values}
 
 
+def ratios(values: list[float], base: list[float]) -> dict:
+    """Summary of the per-repeat ratios of one checkout's values to the base's."""
+    return summarize([v / b for v, b in zip(values, base, strict=True)])
+
+
 def machine() -> dict:
     cpu = None
     cpuinfo = Path("/proc/cpuinfo")
@@ -137,7 +145,8 @@ def main(argv=None) -> int:
             parser.error(f"--checkout {spec!r}: expected LABEL=PATH")
         checkouts[label] = Path(path).resolve()
     first = next(iter(checkouts.values()))
-    seconds = json.loads((first / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((first / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
 
     runs = {label: {w: [] for w in WORKLOADS} for label in checkouts}
     sweeps = {label: {sc: [] for sc in SWEEPS} for label in checkouts}
@@ -189,6 +198,31 @@ def main(argv=None) -> int:
             for scenario, done in sweeps[label].items()
         }
         record["checkouts"][label] = entry
+
+    def metric(label, workload, name):
+        return [d["result"]["metrics"][name]["value"] for d in runs[label][workload]]
+
+    def sweep(label, scenario, name):
+        return [d[name] for d in sweeps[label][scenario]]
+
+    base, *others = checkouts
+    end_to_end = [m["name"] for m in benchmark["end_to_end"]]
+    record["ratios"] = {
+        label: {
+            "base": base,
+            "workloads": {
+                w: {name: ratios(metric(label, w, name), metric(base, w, name))
+                    for name in end_to_end}
+                for w in WORKLOADS
+            },
+            "sweeps": {
+                sc: {name: ratios(sweep(label, sc, name), sweep(base, sc, name))
+                     for name in ("wall_s", "peak_rss_mb")}
+                for sc in SWEEPS
+            },
+        }
+        for label in others
+    }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
