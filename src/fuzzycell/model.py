@@ -556,9 +556,9 @@ def iter_rows(state: FcmState, steps: int):
         return
     # The first update is a call to step: benchmarks time the run from the
     # first call into the engine (step, run_ring or nasch.monte_carlo).
-    following = step(state)
-    fleet = _Fleet(state)
-    rows = _rows(following, fleet.cap)
+    # It leaves its fleet tables and rows in ``_last``.
+    step(state)
+    _, fleet, rows = _last
     yield rows
     for _ in range(steps - 1):
         rows = _update(fleet, *rows)

@@ -30,11 +30,15 @@ construction and on ``dataclasses.replace``, raising a field-path
 document, a command-line override and a sweep argument pass the same
 checks.  An omitted ``nasch`` or ``fd`` block takes the defaults.
 
-The dataclass fields are the schema: :func:`load_scenario` and
-:func:`dump_scenario` read each scalar field's key, YAML type and
-default from them.  Every mapping accepts only the keys its config type
-knows, besides the document's ``queue`` and a fleet entry's ``class``;
-any other key is a :class:`ScenarioParseError` naming its path.
+The dataclass fields are the schema.  One reader, ``_read``, and one
+writer, ``_doc``, cover every mapping of the document (the top level,
+classes, fleet entries, ``nasch``, ``fd`` and outputs), taking each
+field's key, YAML type and default from ``dataclasses.fields``.  A
+field's key is its name, except a fleet entry's ``class``, which
+:class:`FleetEntry` declares in its ``class_name`` field's metadata.
+Every mapping accepts only the keys its config type knows; any other
+key is a :class:`ScenarioParseError` naming its path.  ``queue`` is the
+one mapping read by hand, since it expands to fleet entries.
 
 Outputs: CSV time series with ``repr``-formatted floats (stable bytes
 for golden-file comparison) and binary PGM (P5) space-time images, one
@@ -49,9 +53,11 @@ through the same writers.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import cache
 from importlib import resources
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 import yaml
@@ -112,9 +118,9 @@ class OutputSpec:
 
 @dataclass(frozen=True)
 class FleetEntry:
-    class_name: str
+    class_name: str = field(metadata={"key": "class"})
     position: FuzzyInt
-    velocity: FuzzyInt
+    velocity: FuzzyInt = field(default_factory=lambda: crisp(0))
 
 
 @dataclass(frozen=True)
@@ -221,8 +227,9 @@ class ScenarioConfig:
 # loading
 
 
-# The YAML types a scalar config field accepts, by the field's annotation.
-_SCALAR_TYPES = {"int": int, "float": (int, float), "str": str, "tuple[float, ...]": list}
+# The YAML types a config field accepts, by the field's resolved type.
+# A nested config type takes a mapping and a tuple field a list.
+_YAML_TYPES = {int: int, float: (int, float), str: str, FuzzyInt: (int, list)}
 
 
 def _need(mapping, key, types, path):
@@ -249,35 +256,63 @@ def _known(raw, path, keys):
             raise ScenarioParseError(f"{path}.{key}: unknown field")
 
 
-def _scalar_fields(raw, config_type, path, extras=()) -> dict:
-    """Read the scalar fields of ``config_type`` from the mapping ``raw``,
-    which may hold no key but the type's fields and ``extras``.  A field
-    without a default is required."""
-    _known(raw, path, {f.name for f in fields(config_type)}.union(extras))
+@cache
+def _schema(config_type) -> dict:
+    """Each field of ``config_type`` by its document key (the field's
+    ``key`` metadata, else its name): its name, its resolved type and
+    whether it is required, which it is when it has no default."""
+    hints = get_type_hints(config_type)
+    return {
+        f.metadata.get("key", f.name): (
+            f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING
+        )
+        for f in fields(config_type)
+    }
+
+
+def _read(raw, config_type, path):
+    """Build ``config_type`` from the mapping ``raw``, which may hold no key
+    but the type's fields."""
+    schema = _schema(config_type)
+    _known(raw, path, schema)
     values = {}
-    for f in fields(config_type):
-        types = _SCALAR_TYPES.get(f.type)
-        if types is None:
+    for key, (name, hint, required) in schema.items():
+        if not required and raw.get(key) is None:
             continue
-        if f.default is MISSING:
-            value = _need(raw, f.name, types, path)
-        else:
-            value = _get(raw, f.name, types, path, f.default)
-        values[f.name] = float(value) if f.type == "float" else value
-    return values
+        at = f"{path}.{key}"
+        if hint in _YAML_TYPES:
+            value = _need(raw, key, _YAML_TYPES[hint], path)
+            if hint is float:
+                value = float(value)
+            elif hint is FuzzyInt:
+                value = _fuzzy_literal(value, at)
+        elif is_dataclass(hint):
+            value = _read(_need(raw, key, dict, path), hint, at)
+        else:  # tuple[item, ...]
+            value = _need(raw, key, list, path)
+            item = get_args(hint)[0]
+            if is_dataclass(item):
+                value = tuple(_read(v, item, f"{at}[{i}]") for i, v in enumerate(value))
+        values[name] = value
+    try:
+        return config_type(**values)
+    except ValueError as exc:
+        if isinstance(exc, ScenarioError):
+            raise
+        raise ScenarioValidationError(f"{path}: {exc}") from exc
 
 
 def _fuzzy_literal(raw, path) -> FuzzyInt:
     if isinstance(raw, int):
         return crisp(raw)
     if not isinstance(raw, list) or not all(
-        isinstance(p, list) and len(p) == 2 and not any(isinstance(x, bool) for x in p)
+        isinstance(p, list) and len(p) == 2 and type(p[0]) is int and type(p[1]) in (int, float)
         for p in raw
     ):
         raise ScenarioParseError(f"{path}: expected integer or [value, grade] pairs")
     try:
         return make_fuzzy([(p[0], p[1]) for p in raw])
-    except (FuzzyNumError, TypeError) as exc:
+    except FuzzyNumError as exc:
         raise ScenarioValidationError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -289,40 +324,15 @@ def load_scenario(text: str) -> ScenarioConfig:
         raise ScenarioParseError(f"invalid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a mapping")
-    scalars = _scalar_fields(doc, ScenarioConfig, "scenario", extras=("queue",))
-
-    classes = []
-    for i, raw in enumerate(_need(doc, "classes", list, "scenario")):
-        path = f"scenario.classes[{i}]"
-        _known(raw, path, ("name", "length", "v_max", "accel"))
-        name = _need(raw, "name", str, path)
-        try:
-            cls = VehicleClass(
-                name,
-                _fuzzy_literal(_need(raw, "length", (int, list), path), f"{path}.length"),
-                _fuzzy_literal(_need(raw, "v_max", (int, list), path), f"{path}.v_max"),
-                _fuzzy_literal(_need(raw, "accel", (int, list), path), f"{path}.accel"),
-            )
-        except ValueError as exc:
-            if isinstance(exc, ScenarioError):
-                raise
-            raise ScenarioValidationError(f"{path}: {exc}") from exc
-        classes.append(cls)
-
-    fleet = []
-    for i, raw in enumerate(_get(doc, "fleet", list, "scenario", [])):
-        path = f"scenario.fleet[{i}]"
-        _known(raw, path, ("class", "position", "velocity"))
-        cname = _need(raw, "class", str, path)
-        position = _fuzzy_literal(_need(raw, "position", (int, list), path), f"{path}.position")
-        velocity = _fuzzy_literal(_get(raw, "velocity", (int, list), path, 0), f"{path}.velocity")
-        fleet.append(FleetEntry(cname, position, velocity))
     queue_raw = _get(doc, "queue", dict, "scenario", None)
+    doc.pop("queue", None)
+    config = _read(doc, ScenarioConfig, "scenario")
+
     if queue_raw is not None:
         path = "scenario.queue"
         _known(queue_raw, path, ("class", "count", "start", "spacing"))
         cname = _need(queue_raw, "class", str, path)
-        if cname not in {c.name for c in classes}:
+        if cname not in {c.name for c in config.classes}:
             raise ScenarioValidationError(f"{path}.class: unknown class {cname!r}")
         count = _need(queue_raw, "count", int, path)
         if count < 1:
@@ -331,32 +341,16 @@ def load_scenario(text: str) -> ScenarioConfig:
         spacing = _get(queue_raw, "spacing", int, path, 1)
         if spacing < 1:
             raise ScenarioValidationError(f"{path}.spacing: must be at least 1")
-        for k in range(count):
-            fleet.append(FleetEntry(cname, crisp(start + k * spacing), crisp(0)))
+        queue = (FleetEntry(cname, crisp(start + k * spacing)) for k in range(count))
+        config = replace(config, fleet=config.fleet + tuple(queue))
 
-    nasch_raw = _get(doc, "nasch", dict, "scenario", {})
-    nasch = NaschSettings(**_scalar_fields(nasch_raw, NaschSettings, "scenario.nasch"))
-    fd_raw = _get(doc, "fd", dict, "scenario", {})
-    fd = FdSettings(**_scalar_fields(fd_raw, FdSettings, "scenario.fd"))
     # A document rule, not a config rule: ``compare`` runs a nasch
     # scenario's configuration as model fcm, whatever its estimator.
-    if fd.estimator == "site_count" and scalars["model"] == "fcm":
+    if config.fd.estimator == "site_count" and config.model == "fcm":
         raise ScenarioValidationError(
             "scenario.fd.estimator: site_count applies to the nasch model only"
         )
-
-    outputs = [
-        OutputSpec(**_scalar_fields(raw, OutputSpec, f"scenario.outputs[{i}]"))
-        for i, raw in enumerate(_get(doc, "outputs", list, "scenario", []))
-    ]
-    return ScenarioConfig(
-        **scalars,
-        classes=tuple(classes),
-        fleet=tuple(fleet),
-        nasch=nasch,
-        fd=fd,
-        outputs=tuple(outputs),
-    )
+    return config
 
 
 def load_scenario_file(path) -> ScenarioConfig:
@@ -367,35 +361,22 @@ def load_scenario_file(path) -> ScenarioConfig:
     return load_scenario(text)
 
 
-def _fuzzy_doc(f: FuzzyInt):
-    return [[int(v), float(g)] for v, g in f.to_pairs()]
+def _doc(value):
+    """The document form of a config value: fuzzy sets as [value, grade]
+    pairs, tuples as lists, config objects as mappings."""
+    if isinstance(value, FuzzyInt):
+        return [list(pair) for pair in value.to_pairs()]
+    if isinstance(value, tuple):
+        return [_doc(v) for v in value]
+    if is_dataclass(value):
+        schema = _schema(type(value))
+        return {key: _doc(getattr(value, name)) for key, (name, _, _) in schema.items()}
+    return value
 
 
 def dump_scenario(config: ScenarioConfig) -> str:
     """Serialize a configuration; load_scenario(dump_scenario(c)) == c."""
-    doc = {f.name: getattr(config, f.name) for f in fields(config) if f.type in _SCALAR_TYPES}
-    doc["classes"] = [
-        {
-            "name": c.name,
-            "length": _fuzzy_doc(c.length),
-            "v_max": _fuzzy_doc(c.v_max),
-            "accel": _fuzzy_doc(c.accel),
-        }
-        for c in config.classes
-    ]
-    doc["fleet"] = [
-        {
-            "class": e.class_name,
-            "position": _fuzzy_doc(e.position),
-            "velocity": _fuzzy_doc(e.velocity),
-        }
-        for e in config.fleet
-    ]
-    doc["nasch"] = asdict(config.nasch)
-    doc["fd"] = {**asdict(config.fd), "densities": list(config.fd.densities)}
-    if config.outputs:
-        doc["outputs"] = [asdict(o) for o in config.outputs]
-    return yaml.safe_dump(doc, sort_keys=False)
+    return yaml.safe_dump(_doc(config), sort_keys=False)
 
 
 def builtin_scenarios() -> list[str]:

@@ -167,6 +167,36 @@ CASES = {
         _class(v_max=[[2, True]]), PARSE,
         "scenario.classes[0].v_max: expected integer or [value, grade] pairs",
     ),
+    "string_grade_in_fleet_position": (
+        _set("fleet", [{"class": "car", "position": [[2, "x"]]}]), PARSE,
+        "scenario.fleet[0].position: expected integer or [value, grade] pairs",
+    ),
+    "string_grade_in_class_v_max": (
+        _class(v_max=[[2, "x"]]), PARSE,
+        "scenario.classes[0].v_max: expected integer or [value, grade] pairs",
+    ),
+    "float_value_in_fuzzy_pair": (
+        _class(v_max=[[2.5, 1.0]]), PARSE,
+        "scenario.classes[0].v_max: expected integer or [value, grade] pairs",
+    ),
+    "missing_fleet_class": (
+        _set("fleet", [{"position": 2}]), PARSE, "scenario.fleet[0]: missing required field 'class'",
+    ),
+    "missing_class_accel": (
+        _document(lambda doc: doc["classes"][0].pop("accel")), PARSE,
+        "scenario.classes[0]: missing required field 'accel'",
+    ),
+    "nasch_not_a_mapping": (
+        _set("nasch", [3]), PARSE, "scenario.nasch: expected <class 'dict'>, got list",
+    ),
+    "fleet_not_a_list": (
+        _set("fleet", {"class": "car", "position": 2}), PARSE,
+        "scenario.fleet: expected <class 'list'>, got dict",
+    ),
+    "missing_output_path": (
+        _set("outputs", [{"kind": "queue"}]), PARSE,
+        "scenario.outputs[0]: missing required field 'path'",
+    ),
     "unknown_top_level_key": (_set("alfa", 0.5), PARSE, "scenario.alfa: unknown field"),
     "unknown_class_key": (
         _class(lenght=0), PARSE, "scenario.classes[0].lenght: unknown field",

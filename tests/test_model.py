@@ -34,6 +34,7 @@ from fuzzycell import (
 )
 from fuzzycell.fuzznum import _from_dense_rows
 from fuzzycell.model import flow_summary, iter_rows, iter_states, run_ring
+from fuzzycell.simio import build_fcm_state, load_builtin
 
 
 def fz(*pairs):
@@ -776,6 +777,21 @@ def test_iter_rows_matches_repeated_step(st, steps):
             assert p == veh.position and v == veh.velocity
         yielded += 1
     assert yielded == steps + 1
+
+
+def test_iter_rows_builds_the_fleet_once(monkeypatch):
+    builds = []
+
+    class CountingFleet(model._Fleet):
+        def __init__(self, state):
+            builds.append(state)
+            super().__init__(state)
+
+    monkeypatch.setattr(model, "_Fleet", CountingFleet)
+    state = build_fcm_state(load_builtin("queue50"))
+    for _ in iter_rows(state, 5):
+        pass
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("boundary", ["open", "ring"])

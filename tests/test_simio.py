@@ -1,6 +1,7 @@
 """Scenario loading/serialization, CSV and PGM output."""
 
 import copy
+import hashlib
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
@@ -189,6 +190,28 @@ def test_queue_shorthand_requires_known_class():
 )
 def test_round_trip_builtin(name):
     cfg = load_builtin(name)
+    assert load_scenario(dump_scenario(cfg)) == cfg
+
+
+# sha256 of dump_scenario(load_builtin(name)): the document form of every
+# bundled scenario, key order and number formats included.
+DUMP_DIGESTS = {
+    "queue50": "465fff70b5bb291a5bffb87b9c6845047a68ded52b33ff9d142abebbb6dc6050",
+    "ring_fd_fcm": "45a7cd9e67bb4e6ed49faaa2dd8e3e6c44b3c6ba8c3745445e952b0a6729da86",
+    "ring_fd_nasch": "e34da39eabbd71f78808ca9cecee146a9f951c6d926b8111c2aaad8d8da32fa8",
+    "single_vehicle_a01": "991ed843ad1ccb44fed9c1c592a94675f218de2100f959243696f654b1a73512",
+    "single_vehicle_a09": "9ba4b054d482ccb0087b4022ac656d29773b2efa76dbeddbece2211eca0d75b0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUMP_DIGESTS))
+def test_dump_bytes_of_builtin(name):
+    text = dump_scenario(load_builtin(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == DUMP_DIGESTS[name]
+
+
+def test_config_without_outputs_round_trips():
+    cfg = replace(load_builtin("queue50"), outputs=())
     assert load_scenario(dump_scenario(cfg)) == cfg
 
 
