@@ -26,6 +26,22 @@ states.  The row format stays in this module: :func:`membership_of_rows`
 and :func:`queue_length_of_rows` read the space-time row and the fuzzy
 queue length straight from the rows.
 
+A ring run stops simulating once the road repeats.  The update commutes
+with two symmetries of a ring state: rotating every row by s cells (gap
+windows, folds, powers and truncation are all per cell or cyclic) and,
+where the class sequence repeats under it, relabelling vehicle i as
+i + r (every per-row table is indexed by class, and the leader of i is
+i + 1 mod n).  A flow is a sum over the vehicles, so neither changes
+it.  Once the state after update t equals the state after update t - p
+relabelled by r and rotated by s, the flows repeat with period p, and
+the state k * p updates later is the one after t relabelled by k * r
+and rotated by k * s.  :func:`run_ring` then simulates only the part
+lap that is left, repeats the last p flows and rolls the last simulated
+rows.  A key of each state only nominates p; exact equality of the rows
+confirms it, so the result equals stepping every update, bit for bit.
+Only :func:`run_ring` on a ring of more than two updates looks for a
+repeat: :func:`step`, :func:`iter_rows` and open roads never do.
+
 On an open road the supports widen without bound, and this is model
 behaviour.  A class whose acceleration has a grade at 0 (``queue50``:
 0.2) keeps a grade at velocity 0 in every velocity support, so each
@@ -272,9 +288,10 @@ def run_ring(state: FcmState, steps: int, theta: float | None = None):
     """Advance ``steps`` updates on either boundary: ``(final_state, flows)``.
 
     ``flows[t]`` is the :func:`flow_summary` after update t + 1;
-    ``flows`` is None when ``theta`` is None.  Every update is
-    simulated, so the cost of a run is steps times the cost of one
-    update, whatever the dynamics.
+    ``flows`` is None when ``theta`` is None.  On a ring the run stops
+    simulating once a state repeats an earlier one up to a rotation and
+    a relabelling of the vehicles, as the module docstring explains; the
+    result equals ``steps`` calls of :func:`step`, flows included.
     """
     global _last
     flows = None if theta is None else []
@@ -286,14 +303,27 @@ def run_ring(state: FcmState, steps: int, theta: float | None = None):
         fleet = _Fleet(state)
         rows = _rows(state, fleet.cap)
     held = []  # velocity rows whose flows are not summed yet
-    for t in range(steps):
+    # a repeat is nominated at update 2 at the earliest, confirmed at 3
+    watch = _Repeats(fleet.kind) if fleet.ring and steps > 2 else None
+    t, end = 0, steps
+    while t < end:
         rows = _update(fleet, *rows)
+        t += 1
+        if watch is not None and (cycle := watch.see(t, rows)) is not None:
+            watch = None
+            period, r, s = cycle
+            end = t + (steps - t) % period  # simulate the last part lap only
         if flows is not None:
             held.append(rows[2])
-            if len(held) == _FLOW_BATCH or t == steps - 1:
+            if len(held) == _FLOW_BATCH or t == end:
                 sums = _flow_rows(np.stack(held), theta)
                 flows.extend(zip(*(column.tolist() for column in sums)))
                 held.clear()
+    if end < steps:
+        laps = (steps - end) // period
+        if flows is not None:
+            flows.extend(flows[-period:] * laps)
+        rows = _roll_rows(rows, laps * r, laps * s)
     out = _materialize(state, rows, state.step + steps)
     _last = (out, fleet, rows)
     return out, flows
@@ -395,6 +425,88 @@ class _Fleet:
         self.reach = self.cap + self.length.shape[1] - 1
         self.clamp = np.arange(self.reach - self.cap, self.reach + 1)
         self.clamp[0] = 0
+
+
+# Ring keys kept before they are dropped: about 0.4 MB.
+_KEYS_KEPT = 4096
+
+
+class _Repeats:
+    """Watches a ring run for a state that repeats an earlier one up to
+    a rotation by s cells and a relabelling by r vehicles.
+
+    It takes rows and each row's class, not a state, so one watcher can
+    follow any block of ring rows.  Each state's :func:`_ring_key` maps
+    to the last update that gave it.  A hit only nominates the distance
+    p between the two updates: the state is held, and p updates later
+    the new state is compared with it, relabelled and rotated, by exact
+    equality (:func:`_symmetry`).  A failed comparison frees the slot
+    for the next nomination.  A period is missed, and every update
+    simulated, when the keys repeat sooner than the states, or when it
+    is longer than ``_KEYS_KEPT`` updates: the keys are dropped that
+    often, which bounds their memory.
+    """
+
+    def __init__(self, kind):
+        self.kind = kind
+        self.seen = {}
+        self.held = None  # (due update, period, rows)
+
+    def see(self, t, rows):
+        """``(p, r, s)`` once the rows after update ``t`` are those after
+        update t - p relabelled by r and rotated by s; otherwise None."""
+        if self.held is not None and self.held[0] == t:
+            _, period, earlier = self.held
+            self.held = None
+            shift = _symmetry(self.kind, earlier, rows)
+            if shift is not None:
+                return (period, *shift)
+        if len(self.seen) == _KEYS_KEPT:
+            self.seen.clear()
+        key = _ring_key(rows[0])
+        before = self.seen.get(key)
+        self.seen[key] = t
+        if before is not None and self.held is None:
+            self.held = (2 * t - before, t - before, rows)
+        return None
+
+
+def _ring_key(pos):
+    """A key of ring position rows that no rotation or relabelling
+    changes: the wrapping sum of the bits of all their grades.  Equal
+    keys do not imply equal states."""
+    return int(pos.view(np.uint64).sum())
+
+
+def _symmetry(kind, earlier, later):
+    """``(r, s)`` such that ``later`` holds the rows of ``earlier``
+    relabelled by r (row i becomes row i + r) and rotated by s cells,
+    where ``kind``, the class of each row, rolled by r equals ``kind``;
+    otherwise None."""
+    pos_a, _, vel_a = earlier
+    pos_b, _, vel_b = later
+    n, width = pos_a.shape
+    head = pos_b[0]
+    tops = np.flatnonzero(head == head.max())
+    for j in np.flatnonzero((vel_a == vel_b[0]).all(axis=1)):  # rows that may become row 0
+        r = (n - j) % n
+        if not (np.array_equal(np.roll(kind, r), kind)
+                and np.array_equal(np.roll(vel_a, r, axis=0), vel_b)):
+            continue
+        for s in tops - pos_a[j].argmax():
+            if np.array_equal(np.roll(pos_a, (r, s), axis=(0, 1)), pos_b):
+                return int(r), int(s) % width
+    return None
+
+
+def _roll_rows(rows, r, s):
+    """Ring rows relabelled by r and rotated by s cells, read-only."""
+    pos, origin, vel = rows
+    pos = np.roll(pos, (r, s), axis=(0, 1))
+    vel = np.roll(vel, r, axis=0)
+    pos.setflags(write=False)
+    vel.setflags(write=False)
+    return pos, origin, vel
 
 
 def _update(fleet, pos, origin, vel):

@@ -304,7 +304,7 @@ def _read(raw, config_type, path):
 
 def _fuzzy_literal(raw, path) -> FuzzyInt:
     if isinstance(raw, int):
-        return crisp(raw)
+        raw = [[raw, 1.0]]
     if not isinstance(raw, list) or not all(
         isinstance(p, list) and len(p) == 2 and type(p[0]) is int and type(p[1]) in (int, float)
         for p in raw
@@ -314,6 +314,8 @@ def _fuzzy_literal(raw, path) -> FuzzyInt:
         return make_fuzzy([(p[0], p[1]) for p in raw])
     except FuzzyNumError as exc:
         raise ScenarioValidationError(f"{path}: {type(exc).__name__}: {exc}") from exc
+    except OverflowError as exc:  # a support value beyond int64
+        raise ScenarioValidationError(f"{path}: value outside the int64 range") from exc
 
 
 def load_scenario(text: str) -> ScenarioConfig:

@@ -179,6 +179,18 @@ CASES = {
         _class(v_max=[[2.5, 1.0]]), PARSE,
         "scenario.classes[0].v_max: expected integer or [value, grade] pairs",
     ),
+    "int64_overflow_fleet_position": (
+        _set("fleet", [{"class": "car", "position": 10**20}]), VALIDATION,
+        "scenario.fleet[0].position: value outside the int64 range",
+    ),
+    "int64_overflow_in_fuzzy_pair": (
+        _set("fleet", [{"class": "car", "position": [[10**20, 1.0]]}]), VALIDATION,
+        "scenario.fleet[0].position: value outside the int64 range",
+    ),
+    "int64_overflow_class_v_max": (
+        _class(v_max=[[2, 0.5], [10**20, 1.0]]), VALIDATION,
+        "scenario.classes[0].v_max: value outside the int64 range",
+    ),
     "missing_fleet_class": (
         _set("fleet", [{"position": 2}]), PARSE, "scenario.fleet[0]: missing required field 'class'",
     ),

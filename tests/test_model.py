@@ -1,5 +1,6 @@
 """Fuzzy traffic model: state invariants, update rules, engine equivalence."""
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -649,7 +650,7 @@ def test_run_ring_matches_repeated_step(st, steps, theta):
 
 
 # ---------------------------------------------------------------------------
-# ring symmetries and long runs
+# ring symmetries, long runs and cycle skipping
 
 # the class of the bundled ring_fd_fcm scenario
 RING_CAR = VehicleClass(
@@ -731,9 +732,10 @@ def test_run_ring_matches_repeated_step_over_long_horizons(st, steps, theta):
 
 
 def test_ring_run_memory_does_not_grow_with_steps():
-    # A jam of 93 vehicles: a run holds the current rows, not a history
-    # of states.  theta is None, so no flows list is returned; one
-    # update's own peak (gap and shift temporaries) is the baseline.
+    # A jam of 93 vehicles, which repeats from update 341: a run holds
+    # the current rows and at most _KEYS_KEPT keys, not a history of
+    # states.  theta is None, so no flows list is returned; one update's
+    # own peak (gap and shift temporaries) is the baseline.
     st = ring_state(RING_CAR, 100, 93)
 
     def peak(steps):
@@ -748,6 +750,132 @@ def test_ring_run_memory_does_not_grow_with_steps():
     extra = {steps: peak(steps) - base for steps in (600, 1500)}
     assert extra[600] < 2**20 and extra[1500] < 2**20
     assert extra[1500] <= extra[600] + 2**16
+
+
+@settings(max_examples=60, deadline=None)
+@given(fleets(boundaries=("ring",), max_road=12), hs.integers(3, 40), hs.integers(1, 4))
+@example(ring_state(RING_CAR, 8, 2), 40, 1)
+@example(ring_state(crisp_class(), 7, 4), 40, 1)
+@example(_alternating_ring(), 40, 1)
+def test_run_ring_is_exact_whatever_the_key_nominates(st, steps, key_period):
+    # key_period 1 is a constant key, so every update nominates period 1;
+    # only the exact comparison decides
+    keys = itertools.count()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_ring_key", lambda pos: next(keys) % key_period)
+        got = run_ring(st, steps, 0.5)
+    assert got == stepped(st, steps, 0.5)
+
+
+def counting_updates(monkeypatch, update=None):
+    """Count the calls of model._update, made through ``update``."""
+    calls = []
+    update = update or model._update
+    monkeypatch.setattr(model, "_update", lambda *a: calls.append(1) or update(*a))
+    return calls
+
+
+@pytest.mark.parametrize("count, simulated", [
+    (7, 28), (8, 28), (23, 37), (28, 600), (90, 343), (94, 342),
+])
+def test_ring_fd_runs_simulate_only_until_they_repeat(monkeypatch, count, simulated):
+    # ring_fd_fcm's settings: the low, critical and jam counts that the
+    # benchmark's ring_fd inputs (8, 23, 94) and (7, 28, 90) sweep
+    cfg = load_builtin("ring_fd_fcm")
+    st = ring_state(cfg.classes[0], cfg.road_length, count, cfg.alpha, cfg.epsilon)
+    calls = counting_updates(monkeypatch)
+    _, flows = run_ring(st, cfg.fd.warmup + cfg.fd.window, cfg.fd.theta)
+    assert len(calls) == simulated and len(flows) == 600
+
+
+def test_only_a_ring_run_watches_for_repeats(monkeypatch, queue_class):
+    def forbidden(kind):
+        raise AssertionError("a watcher was built")
+
+    calls = counting_updates(monkeypatch)
+    monkeypatch.setattr(model, "_Repeats", forbidden)
+    ring, road = ring_state(queue_class, 30, 6), stopped_queue(queue_class, 4, 60)
+    state = ring
+    for _ in range(40):
+        state = step(state)
+    for _ in iter_rows(ring, 40):
+        pass
+    run_ring(road, 40, theta=0.99)
+    run_ring(ring, 2, theta=0.99)  # too short to confirm a repeat
+    assert len(calls) == 3 * 40 + 2
+
+
+def cycling_update(fleet, pos, origin, vel, relabel=1):
+    """A stand-in update that commutes with rotation and relabelling:
+    every row moves one cell on and ``relabel`` vehicles up, and every
+    grade steps 1 -> 0.3 -> 0.6 -> 1, so the state repeats every 3
+    updates up to a relabelling by 3 * relabel and a rotation by 3, with
+    flows that vary."""
+
+    def cycled(rows):
+        out = rows.copy()
+        for old, new in ((1.0, 0.3), (0.3, 0.6), (0.6, 1.0)):
+            out[rows == old] = new
+        return out
+
+    return (np.roll(cycled(pos), (relabel, 1), axis=(0, 1)), origin,
+            np.roll(cycled(vel), relabel, axis=0))
+
+
+@pytest.mark.parametrize("steps, simulated", [(50, 8), (51, 9), (52, 7)])
+def test_skip_fills_flows_and_rolls_rows_over_a_period_of_3(monkeypatch, steps, simulated):
+    # confirmed at update 7 with period 3, which does not divide the
+    # flow batch: the cut at update 7, 8 or 9 falls inside the first batch
+    vehicles = tuple(
+        FcmVehicle(i, RING_CAR, crisp(3 * i), fz((0, 1.0), (1, 0.3))) for i in range(4)
+    )
+    st = FcmState(vehicles, 20, "ring")
+    calls = counting_updates(monkeypatch, cycling_update)
+    got = run_ring(st, steps, theta=0.5)
+    assert len(calls) == simulated
+    assert len(set(got[1][-3:])) > 1
+    assert got == stepped(st, steps, theta=0.5)
+
+
+@pytest.mark.parametrize("classes, simulated", [("AA", 9), ("AB", 60)])
+def test_ring_run_never_relabels_across_classes(monkeypatch, classes, simulated):
+    # Each stand-in update relabels by 1, and the two rows differ in
+    # shape, so no rotation alone maps one onto the other.  With one
+    # class the state after update t is the one after t - 3 relabelled by
+    # 3 = 1 (mod 2), and the run skips; with two classes that relabelling
+    # swaps them, the nominated period stays 3 and no repeat is confirmed.
+    kinds = {"A": RING_CAR, "B": crisp_class()}
+    vehicles = tuple(
+        FcmVehicle(i, kinds[c], fz((5 * i, 1.0), (5 * i + 1 + i, 0.3)), crisp(0))
+        for i, c in enumerate(classes)
+    )
+    st = FcmState(vehicles, 10, "ring")
+    calls = counting_updates(monkeypatch, cycling_update)
+    got = run_ring(st, 60, theta=0.5)
+    assert len(calls) == simulated
+    assert got == stepped(st, 60, theta=0.5)
+
+
+def test_symmetry_allows_only_relabellings_that_keep_the_classes():
+    # the later rows are the earlier ones relabelled by 1 and rotated by
+    # 1 cell; no rotation alone maps one onto the other
+    earlier = np.array([[1.0, 0, 0, 0, 0, 0], [0, 0, 0, 1.0, 0.5, 0]])
+    later = np.roll(earlier, (1, 1), axis=(0, 1))
+    vel = np.array([[1.0, 0.0], [1.0, 0.0]])
+    assert model._symmetry(np.array([0, 0]), (earlier, 0, vel), (later, 0, vel)) == (1, 1)
+    assert model._symmetry(np.array([0, 1]), (earlier, 0, vel), (later, 0, vel)) is None
+
+
+def test_rows_kept_after_a_skip_are_the_returned_state(monkeypatch):
+    calls = counting_updates(monkeypatch)
+    final, _ = run_ring(ring_state(RING_CAR, 100, 7), 600)
+    assert len(calls) < 600
+    last, fleet, (pos, origin, vel) = model._last
+    assert last is final
+    want = model._rows(final, fleet.cap)
+    assert np.array_equal(pos, want[0]) and origin == want[1] and np.array_equal(vel, want[2])
+    assert not pos.flags.writeable and not vel.flags.writeable
+    assert step(final) == step(replace(final))  # the copy is rebuilt from its sets
 
 
 def _tiny_ring():
