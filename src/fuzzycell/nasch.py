@@ -150,6 +150,8 @@ def trajectory(state: NaschState, steps: int) -> list[NaschState]:
 
 def iter_states(state: NaschState, steps: int):
     """Yield the initial state and then ``steps`` successive updates."""
+    if steps < 0:
+        raise ValueError(f"steps must be at least 0, got {steps}")
     yield state
     for _ in range(steps):
         state = nasch_step(state)
@@ -216,6 +218,8 @@ def monte_carlo(initial: NaschState, steps: int, runs: int, base_seed: int) -> N
     """
     if runs < 1:
         raise ValueError("need at least one run")
+    if steps < 0:
+        raise ValueError(f"steps must be at least 0, got {steps}")
     n, C, v_max = initial.positions.size, initial.road_length, initial.v_max
     ring = initial.boundary == "ring"
     qlen = np.zeros((runs, steps + 1), dtype=np.int64)

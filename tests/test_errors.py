@@ -13,8 +13,8 @@ import yaml
 
 from fuzzycell import crisp, wrap_mod
 from fuzzycell.metrics import empirical_queue_distribution
-from fuzzycell.model import FcmState, FcmVehicle, VehicleClass, ring_state
-from fuzzycell.nasch import NaschEnsemble, NaschState
+from fuzzycell.model import FcmState, FcmVehicle, VehicleClass, iter_rows, ring_state, run_ring
+from fuzzycell.nasch import NaschEnsemble, NaschState, iter_states, monte_carlo
 from fuzzycell.simio import (
     ScenarioError,
     ScenarioParseError,
@@ -278,6 +278,23 @@ CASES = {
     "nasch_ring_span": (
         _nasch_state([0, 100], boundary="ring"), ValueError,
         "ring vehicles must occupy distinct cells",
+    ),
+    # step counts: 0 is valid, and ScenarioConfig already rejects steps < 1
+    "run_ring_negative_steps": (
+        lambda tmp_path: run_ring(ring_state(CAR, 10, 2), -3, theta=0.5), ValueError,
+        "steps must be at least 0, got -3",
+    ),
+    "iter_rows_negative_steps": (
+        lambda tmp_path: list(iter_rows(ring_state(CAR, 10, 2), -2)), ValueError,
+        "steps must be at least 0, got -2",
+    ),
+    "monte_carlo_negative_steps": (
+        lambda tmp_path: monte_carlo(_nasch_state([0, 5])(tmp_path), -2, 3, 1), ValueError,
+        "steps must be at least 0, got -2",
+    ),
+    "nasch_iter_states_negative_steps": (
+        lambda tmp_path: list(iter_states(_nasch_state([0, 5])(tmp_path), -2)), ValueError,
+        "steps must be at least 0, got -2",
     ),
     # metrics
     "empty_ensemble": (_empty_ensemble, ValueError, "empty ensemble"),

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -396,15 +397,8 @@ def test_step_equals_composed_reference_ops(boundary):
             continue
         for _ in range(6):
             st = step(st)
-        nxt = step(st)
-        modulus = st.road_length if boundary == "ring" else None
-        for i, veh in enumerate(st.vehicles):
-            v_ref = update_velocity(st, i)
-            e_ref = dilation_exponent(v_ref, veh.vclass.v_max, st.alpha)
-            p_ref = advance_position(veh.position, v_ref, e_ref, st.epsilon, modulus)
-            assert nxt.vehicles[i].velocity == v_ref
-            assert nxt.vehicles[i].position == p_ref
-            checked += 1
+        assert step(st) == model.reference_step(st)
+        checked += len(st.vehicles)
     assert checked > 50
 
 
@@ -416,11 +410,10 @@ def test_step_equals_reference_ops_on_subnormal_singleton():
     follower = FcmVehicle(0, cls, crisp(5), crisp(0))
     leader = FcmVehicle(1, cls, fz((4, 1.0), (6, 0.5)), crisp(0))
     st = FcmState((follower, leader), 50, "open", alpha=0.9, step=1)
-    v_ref = update_velocity(st, 0)
-    e_ref = dilation_exponent(v_ref, cls.v_max, st.alpha)
-    p_ref = advance_position(st.vehicles[0].position, v_ref, e_ref, st.epsilon, None)
+    ref = model.reference_step(st)
+    p_ref = ref.vehicles[0].position
     assert p_ref.values.tolist() == [6] and p_ref.grade(6) > 0.5
-    assert step(st).vehicles[0].position == p_ref
+    assert step(st) == ref
 
 
 def test_capped_gap_preserves_velocity(queue_class):
@@ -476,8 +469,9 @@ def test_run_ring_matches_step_on_open_roads(queue_class):
 
 
 def test_step_of_an_earlier_state_is_unchanged(queue_class):
-    # the engine keeps the dense rows of the state it returned last; an
-    # earlier state, or one stepped elsewhere in between, must not see them
+    # a stepped state carries its fleet tables, and every step rebuilds
+    # the rows from its own state's sets; an earlier state, or one stepped
+    # after another road, must not see a later state's rows
     first = stopped_queue(queue_class, 5, 80)
     second = step(first)
     third = step(second)
@@ -595,26 +589,7 @@ def velocity_sums(state, theta):
 @example(_long_leader_fleet("open"))
 @example(_equal_distinct_classes_fleet())
 def test_engine_step_matches_composed_reference_ops(st):
-    nxt = step(st)
-    modulus = st.road_length if st.boundary == "ring" else None
-    for i, veh in enumerate(st.vehicles):
-        v_ref = update_velocity(st, i)
-        e_ref = dilation_exponent(v_ref, veh.vclass.v_max, st.alpha)
-        p_ref = advance_position(veh.position, v_ref, e_ref, st.epsilon, modulus)
-        assert nxt.vehicles[i].velocity == v_ref
-        assert nxt.vehicles[i].position == p_ref
-
-
-def reference_update(state):
-    """(position, velocity) of each vehicle after one parallel update
-    composed from the reference per-vehicle ops."""
-    modulus = state.road_length if state.boundary == "ring" else None
-    out = []
-    for i, veh in enumerate(state.vehicles):
-        v = update_velocity(state, i)
-        e = dilation_exponent(v, veh.vclass.v_max, state.alpha)
-        out.append((advance_position(veh.position, v, e, state.epsilon, modulus), v))
-    return out
+    assert step(st) == model.reference_step(st)
 
 
 @settings(max_examples=25, deadline=None)
@@ -623,8 +598,8 @@ def reference_update(state):
 def test_multi_step_runs_keep_the_invariants(st, k):
     for _ in range(k):
         nxt = step(st)
-        for veh, (p_ref, v_ref) in zip(nxt.vehicles, reference_update(st), strict=True):
-            assert veh.position == p_ref and veh.velocity == v_ref
+        assert nxt == model.reference_step(st)
+        for veh in nxt.vehicles:
             assert veh.position.values[0] >= 0 and veh.velocity.values[0] >= 0
             if st.boundary == "ring":
                 assert veh.position.values[-1] < st.road_length
@@ -866,16 +841,39 @@ def test_symmetry_allows_only_relabellings_that_keep_the_classes():
     assert model._symmetry(np.array([0, 1]), (earlier, 0, vel), (later, 0, vel)) is None
 
 
-def test_rows_kept_after_a_skip_are_the_returned_state(monkeypatch):
+def test_a_skipped_run_carries_its_fleet_and_replace_drops_it(monkeypatch):
     calls = counting_updates(monkeypatch)
-    final, _ = run_ring(ring_state(RING_CAR, 100, 7), 600)
+    final, _ = run_ring(ring_state(RING_CAR, 100, 94), 600)  # a jam: slow vehicles
     assert len(calls) < 600
-    last, fleet, (pos, origin, vel) = model._last
-    assert last is final
-    want = model._rows(final, fleet.cap)
-    assert np.array_equal(pos, want[0]) and origin == want[1] and np.array_equal(vel, want[2])
-    assert not pos.flags.writeable and not vel.flags.writeable
-    assert step(final) == step(replace(final))  # the copy is rebuilt from its sets
+    assert step(final) == step(replace(final))  # the copy builds its own fleet
+    # a replaced alpha and epsilon must not step with the carried tables
+    fresh = FcmState(final.vehicles, final.road_length, "ring", 0.3, 0.2, final.step)
+    assert step(fresh).vehicles != step(final).vehicles
+    changed = replace(final, alpha=0.3, epsilon=0.2)
+    assert step(changed) == step(fresh) == model.reference_step(fresh)
+
+
+def test_chained_steps_build_the_fleet_once(monkeypatch):
+    builds = []
+    fleet = model._Fleet
+    monkeypatch.setattr(model, "_Fleet", lambda state: builds.append(state) or fleet(state))
+    state = build_fcm_state(load_builtin("queue50"))
+    for _ in range(5):
+        state = step(state)
+    assert len(builds) == 1
+
+
+def test_pickled_states_step_as_their_originals():
+    # a stepped state pickles its fleet tables too; states that share
+    # them store them once
+    states = [build_fcm_state(load_builtin("queue50"))]
+    for _ in range(4):
+        states.append(step(states[-1]))
+    loaded = pickle.loads(pickle.dumps(states))
+    assert loaded == states
+    assert loaded[1]._fleet is loaded[-1]._fleet
+    for copy, original in zip(loaded, states):
+        assert step(copy) == step(original)
 
 
 def _tiny_ring():
