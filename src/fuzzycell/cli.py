@@ -7,13 +7,20 @@ fuzzy model and the baseline ensemble side by side.  Scenario arguments
 take a file path or the name of a bundled scenario.  Exit codes: 0 on
 success, 1 on configuration or I/O failure, 2 on usage errors.
 
+Every override (``--steps``, ``--alpha``, ``--seed``, ``--densities``)
+edits the loaded configuration, which checks the new value as the
+scenario loader does.  Every command is then a list of ``(kind, path)``
+outputs that one loop, :func:`_write`, produces in order, printing a
+``wrote kind -> path`` line after each; ``run`` lists the outputs the
+scenario declares.  ``compare`` writes the baseline histogram itself,
+since it also accepts fuzzy fleets, which the baseline model rejects.
+
 Trajectory outputs are streamed: one simulation feeds every space-time
 image and fuzzy queue series of a command as its states arrive, and
 each state is dropped once its rows are written, so memory does not
 grow with the step count.  The fuzzy model's stream reads the engine's
 dense grade rows (:func:`model.iter_rows`) directly; no fuzzy set or
-vehicle object is built per step.  The ``wrote kind -> path`` lines
-follow the order in which the scenario declares its outputs.
+vehicle object is built per step.
 """
 
 from __future__ import annotations
@@ -89,17 +96,26 @@ def _dispatch(args) -> int:
         config = replace(config, alpha=args.alpha)
     if args.seed is not None:
         config = replace(config, nasch=replace(config.nasch, base_seed=args.seed))
+    if getattr(args, "densities", None) is not None:
+        config = replace(config, fd=replace(config.fd, densities=_parse_densities(args.densities)))
     out_dir = Path(args.out_dir or os.environ.get(OUT_DIR_ENV) or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.command == "run":
-        return _cmd_run(config, out_dir)
-    if args.command == "queue-experiment":
-        return _cmd_queue(config, stem, out_dir)
-    if args.command == "fundamental-diagram":
-        densities = _parse_densities(args.densities)
-        return _cmd_fd(config, stem, out_dir, densities)
-    return _cmd_compare(config, stem, out_dir)
+        if not config.outputs:
+            raise ValueError("scenario declares no outputs; nothing to write")
+        _write(config, [(spec.kind, out_dir / spec.path) for spec in config.outputs])
+    elif args.command == "queue-experiment":
+        fallback = f"{stem}_{config.model}_queue.csv"
+        _write(config, [_declared(config, "queue", out_dir, fallback)])
+    elif args.command == "fundamental-diagram":
+        _write(config, [_declared(config, "fundamental", out_dir, f"{stem}_fd.csv")])
+    else:  # compare
+        _write(replace(config, model="fcm"), [("queue", out_dir / f"{stem}_fcm_queue.csv")])
+        target = out_dir / f"{stem}_nasch_queue.csv"
+        simio.write_queue_csv(_nasch_histogram(config), target)
+        print(f"wrote queue -> {target}")
+    return 0
 
 
 def _load(spec: str):
@@ -115,8 +131,6 @@ def _load(spec: str):
 
 
 def _parse_densities(raw):
-    if raw is None:
-        return None
     try:
         values = [float(part) for part in raw.split(",") if part.strip()]
     except ValueError as exc:
@@ -124,10 +138,6 @@ def _parse_densities(raw):
     if not values:
         raise ValueError("--densities: empty list")
     return values
-
-
-def _emit(kind: str, path: Path) -> None:
-    print(f"wrote {kind} -> {path}")
 
 
 def _stream(config, outputs) -> None:
@@ -173,58 +183,29 @@ def _nasch_histogram(config):
     return metrics.empirical_queue_distribution(ensemble)
 
 
-def _cmd_run(config, out_dir) -> int:
-    if not config.outputs:
-        raise ValueError("scenario declares no outputs; nothing to write")
+def _write(config, outputs) -> None:
+    """Write the (kind, path) outputs of ``config`` in order; the first
+    streamed one writes every streamed output in one :func:`_stream` pass."""
     kinds = ("spacetime", "queue") if config.model == "fcm" else ("spacetime",)
-    streamed = [(s.kind, out_dir / s.path) for s in config.outputs if s.kind in kinds]
-    for spec in config.outputs:
-        target = out_dir / spec.path
-        if spec.kind in kinds:
-            if streamed:  # the first streamed output writes all of them in one pass
+    streamed = [(kind, path) for kind, path in outputs if kind in kinds]
+    for kind, path in outputs:
+        if kind in kinds:
+            if streamed:
                 _stream(config, streamed)
                 streamed = None
-        elif spec.kind == "queue":
-            simio.write_queue_csv(_nasch_histogram(config), target)
+        elif kind == "queue":
+            simio.write_queue_csv(_nasch_histogram(config), path)
         else:
-            simio.write_fd_csv(metrics.sweep_fundamental_diagram(config), target)
-        _emit(spec.kind, target)
-    return 0
-
-
-def _cmd_queue(config, stem, out_dir) -> int:
-    target = _declared(config, "queue", out_dir, f"{stem}_{config.model}_queue.csv")
-    if config.model == "fcm":
-        _stream(config, [("queue", target)])
-    else:
-        simio.write_queue_csv(_nasch_histogram(config), target)
-    _emit("queue", target)
-    return 0
-
-
-def _cmd_fd(config, stem, out_dir, densities) -> int:
-    points = metrics.sweep_fundamental_diagram(config, densities=densities)
-    target = _declared(config, "fundamental", out_dir, f"{stem}_fd.csv")
-    simio.write_fd_csv(points, target)
-    _emit("fundamental", target)
-    return 0
-
-
-def _cmd_compare(config, stem, out_dir) -> int:
-    fuzzy_target = out_dir / f"{stem}_fcm_queue.csv"
-    _stream(replace(config, model="fcm"), [("queue", fuzzy_target)])
-    _emit("queue", fuzzy_target)
-    nasch_target = out_dir / f"{stem}_nasch_queue.csv"
-    simio.write_queue_csv(_nasch_histogram(config), nasch_target)
-    _emit("queue", nasch_target)
-    return 0
+            simio.write_fd_csv(metrics.sweep_fundamental_diagram(config), path)
+        print(f"wrote {kind} -> {path}")
 
 
 def _declared(config, kind, out_dir, fallback):
+    """The scenario's first ``kind`` output, else ``fallback``, as (kind, path)."""
     for spec in config.outputs:
         if spec.kind == kind:
-            return out_dir / spec.path
-    return out_dir / fallback
+            return kind, out_dir / spec.path
+    return kind, out_dir / fallback
 
 
 if __name__ == "__main__":

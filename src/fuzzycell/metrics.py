@@ -19,7 +19,7 @@ suite checks this against explicitly folded sums).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,37 +119,36 @@ class NaschFdPoint:
     states: tuple[tuple[float, float], ...]
 
 
-def sweep_fundamental_diagram(config, densities=None, warmup=None, window=None):
-    """Run the configured model across ring densities, one point each.
+def sweep_fundamental_diagram(config):
+    """Run the configured model at each density of ``config.fd``, one point each.
 
     ``config`` is a scenario configuration on a ring road; its first
-    vehicle class defines the fleet.  Explicit arguments override the
-    scenario's diagram settings and pass the same checks.  Returns
-    FdPoint or NaschFdPoint entries in density order.
+    vehicle class defines the fleet and ``config.fd`` holds every diagram
+    setting.  Sweep other settings as ``replace(config, fd=replace(
+    config.fd, ...))``, which checks them as the scenario loader does.
+    Returns FdPoint or NaschFdPoint entries in density order.
     """
     if config.boundary != "ring":
         raise ScenarioValidationError(
             f"fundamental diagrams need a ring road, not boundary {config.boundary!r}"
         )
-    given = {"densities": densities, "warmup": warmup, "window": window}
-    fd = replace(config.fd, **{k: v for k, v in given.items() if v is not None})
-    if not fd.densities:
+    if not config.fd.densities:
         raise ValueError("no densities configured for the diagram sweep")
     road = config.road_length
     points = []
-    for k, density in enumerate(fd.densities):
+    for k, density in enumerate(config.fd.densities):
         count = round(density * road)
         if count < 1:
             raise ValueError(f"density {density} places no vehicle on {road} cells")
         if config.model == "fcm":
-            points.append(_fcm_point(config, count, fd))
+            points.append(_fcm_point(config, count))
         else:
-            points.append(_nasch_point(config, count, k, fd))
+            points.append(_nasch_point(config, count, k))
     return points
 
 
-def _fcm_point(config, count, fd):
-    vclass = config.classes[0]
+def _fcm_point(config, count):
+    vclass, fd = config.classes[0], config.fd
     initial = ring_state(vclass, config.road_length, count, config.alpha, config.epsilon)
     _, flows = run_ring(initial, fd.warmup + fd.window, theta=fd.theta)
     rows = np.array(flows[fd.warmup:], dtype=np.float64) / config.road_length
@@ -162,8 +161,8 @@ def _fcm_point(config, count, fd):
     )
 
 
-def _nasch_point(config, count, index, fd):
-    ns = config.nasch
+def _nasch_point(config, count, index):
+    ns, fd = config.nasch, config.fd
     initial = nasch_mod.ring_uniform(count, config.road_length, ns.v_max, ns.p)
     base = ns.base_seed + index * ns.runs  # disjoint seed block per density
     ens = nasch_mod.monte_carlo(initial, fd.warmup + fd.window, ns.runs, base)

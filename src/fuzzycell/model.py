@@ -320,6 +320,8 @@ def run_ring(state: FcmState, steps: int, theta: float | None = None):
     """
     if steps < 0:
         raise ValueError(f"steps must be at least 0, got {steps}")
+    if theta is not None:
+        _check_theta(theta)
     flows = None if theta is None else []
     if not state.vehicles:
         flows = flows if flows is None else [(0, 0, 0)] * steps
@@ -357,6 +359,7 @@ def flow_summary(state: FcmState, theta: float) -> tuple[int, int, int]:
     """Sums over the vehicles of the defuzzified velocity and of the
     bounds of its ``theta``-cut, ``theta`` in (0, 1]; a sub-normal
     velocity below ``theta`` is cut at its maximal grade."""
+    _check_theta(theta)
     if not state.vehicles:
         return (0, 0, 0)
     sums = _flow_rows(_dense_rows([veh.velocity for veh in state.vehicles]), theta)
@@ -366,11 +369,14 @@ def flow_summary(state: FcmState, theta: float) -> tuple[int, int, int]:
 def _flow_rows(vel, theta):
     """The three flow sums of velocity rows ``(..., vehicle, velocity)``,
     one value per index of the leading axes."""
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"flow cut threshold {theta!r} not in (0, 1]")
     cut = vel >= np.minimum(theta, vel.max(axis=-1, keepdims=True))
     hi = cut.shape[-1] - 1 - cut[..., ::-1].argmax(axis=-1)
     return vel.argmax(axis=-1).sum(axis=-1), cut.argmax(axis=-1).sum(axis=-1), hi.sum(axis=-1)
+
+
+def _check_theta(theta) -> None:
+    if not 0.0 < theta <= 1.0:
+        raise ValueError(f"flow cut threshold {theta!r} not in (0, 1]")
 
 
 # Velocity rows of a run held before their flows are summed in one pass:

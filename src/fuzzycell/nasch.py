@@ -180,13 +180,8 @@ class NaschEnsemble:
     counts vehicles passing the cell-0 seam on a ring (site flow).
     """
 
-    road_length: int
-    boundary: str
-    v_max: int
-    p: float
     runs: int
     steps: int
-    base_seed: int
     queue_lengths: np.ndarray
     total_velocity: np.ndarray
     crossings: np.ndarray
@@ -226,9 +221,7 @@ def monte_carlo(initial: NaschState, steps: int, runs: int, base_seed: int) -> N
     total_v = np.zeros((runs, steps), dtype=np.int64)
     crossings = np.zeros((runs, steps), dtype=np.int64)
     qlen[:, 0] = queue_length(initial, initial.positions)
-    ensemble = NaschEnsemble(
-        C, initial.boundary, v_max, initial.p, runs, steps, base_seed, qlen, total_v, crossings
-    )
+    ensemble = NaschEnsemble(runs, steps, qlen, total_v, crossings)
     if n == 0:
         return ensemble
     gap = _gaps(initial.positions, C, initial.boundary, v_max)

@@ -230,6 +230,7 @@ class ScenarioConfig:
 # The YAML types a config field accepts, by the field's resolved type.
 # A nested config type takes a mapping and a tuple field a list.
 _YAML_TYPES = {int: int, float: (int, float), str: str, FuzzyInt: (int, list)}
+_INT64 = np.iinfo(np.int64)
 
 
 def _need(mapping, key, types, path):
@@ -238,6 +239,8 @@ def _need(mapping, key, types, path):
     value = mapping[key]
     if not isinstance(value, types) or isinstance(value, bool):
         raise ScenarioParseError(f"{path}.{key}: expected {types}, got {type(value).__name__}")
+    if types is int and not _INT64.min <= value <= _INT64.max:
+        raise ScenarioValidationError(f"{path}.{key}: value outside the int64 range")
     return value
 
 

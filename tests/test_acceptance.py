@@ -7,6 +7,7 @@ run time.
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -203,12 +204,12 @@ def test_criterion_5_fundamental_diagrams():
             for _, prob in point.states:
                 assert prob >= nasch_config.fd.nasch_threshold
 
-        jam_fcm = metrics.sweep_fundamental_diagram(
-            fcm_config, densities=[1.0], warmup=20, window=50
-        )[0]
-        jam_nasch = metrics.sweep_fundamental_diagram(
-            nasch_config, densities=[1.0], warmup=20, window=50
-        )[0]
+        jam_fcm, jam_nasch = (
+            metrics.sweep_fundamental_diagram(
+                replace(config, fd=replace(config.fd, densities=[1.0], warmup=20, window=50))
+            )[0]
+            for config in (fcm_config, nasch_config)
+        )
         assert jam_fcm.flow_argmax == 0.0
         assert jam_fcm.flow_cut_low == 0.0 and jam_fcm.flow_cut_high == 0.0
         assert jam_nasch.mean_flow == 0.0

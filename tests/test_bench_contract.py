@@ -1,0 +1,49 @@
+"""What the benchmark needs of the package by name.
+
+``bench/sample.py`` stamps the start of the simulated work on the first
+call to each ``layer.name`` in its ``ENGINE`` tuple, found among the
+public functions of ``fuzzycell.<layer>``, and its traced observers read
+the arguments of those calls and the ``runs`` and ``steps`` of the
+ensemble ``nasch.monte_carlo`` returns.  A rename or a changed signature
+there would fail every benchmark sample and no other test.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+from fuzzycell import nasch
+
+SAMPLE = Path(__file__).resolve().parents[1] / "bench" / "sample.py"
+
+# the parameters the benchmark's observers read, by position or by name
+SIGNATURES = {
+    "model.step": ["state"],
+    "model.run_ring": ["state", "steps", "theta"],
+    "nasch.monte_carlo": ["initial", "steps", "runs", "base_seed"],
+}
+
+
+def _engine_names():
+    for node in ast.parse(SAMPLE.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["ENGINE"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no ENGINE tuple in {SAMPLE}")
+
+
+def test_engine_entry_points_are_public_functions():
+    names = _engine_names()
+    assert sorted(names) == sorted(SIGNATURES)
+    for name in names:
+        layer, attr = name.split(".")
+        module = importlib.import_module(f"fuzzycell.{layer}")
+        func = getattr(module, attr, None)
+        assert not attr.startswith("_") and inspect.isfunction(func), name
+        assert func.__module__ == module.__name__, name  # defined there, not imported
+        assert list(inspect.signature(func).parameters) == SIGNATURES[name], name
+
+
+def test_monte_carlo_result_has_runs_and_steps():
+    ensemble = nasch.monte_carlo(nasch.queue_state(3, 20), 4, 2, 0)
+    assert (ensemble.runs, ensemble.steps) == (2, 4)

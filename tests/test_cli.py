@@ -337,15 +337,33 @@ def test_compare_without_nasch_block_uses_default_settings(tmp_path):
     assert written == (tmp_path / "expected.csv").read_text()
 
 
-@pytest.mark.parametrize("scenario", ["single_vehicle_a09", "ring_fd_nasch"])
 @pytest.mark.parametrize(
-    "flag, value, field",
-    [("--steps", "0", "steps"), ("--alpha", "1.5", "alpha"), ("--alpha", "-0.1", "alpha")],
+    "flag, value, field, scenario",
+    [
+        *(
+            (flag, value, field, scenario)
+            for scenario in ("single_vehicle_a09", "ring_fd_nasch")
+            for flag, value, field in (
+                ("--steps", "0", "steps"), ("--alpha", "1.5", "alpha"), ("--alpha", "-0.1", "alpha")
+            )
+        ),
+        ("--densities", "1.5", "fd.densities", "ring_fd_fcm"),
+    ],
 )
-def test_bad_override_exits_1(scenario, flag, value, field, tmp_path, capsys):
-    assert main(["run", scenario, flag, value, "--out-dir", str(tmp_path)]) == 1
+def test_bad_override_exits_1(flag, value, field, scenario, tmp_path, capsys):
+    command = "fundamental-diagram" if flag == "--densities" else "run"
+    assert main([command, scenario, flag, value, "--out-dir", str(tmp_path)]) == 1
     assert f"scenario.{field}:" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_integer_beyond_int64_exits_1(tmp_path, capsys):
+    path = tmp_path / "huge.yaml"
+    path.write_text(SMALL_SCENARIO.replace("road_length: 60", f"road_length: {10**20}"))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: scenario.road_length: value outside the int64 range\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_out_dir_from_environment(small_scenario, tmp_path, monkeypatch):

@@ -13,7 +13,15 @@ import yaml
 
 from fuzzycell import crisp, wrap_mod
 from fuzzycell.metrics import empirical_queue_distribution
-from fuzzycell.model import FcmState, FcmVehicle, VehicleClass, iter_rows, ring_state, run_ring
+from fuzzycell.model import (
+    FcmState,
+    FcmVehicle,
+    VehicleClass,
+    flow_summary,
+    iter_rows,
+    ring_state,
+    run_ring,
+)
 from fuzzycell.nasch import NaschEnsemble, NaschState, iter_states, monte_carlo
 from fuzzycell.simio import (
     ScenarioError,
@@ -78,7 +86,7 @@ def _nasch_state(positions=(), road_length=100, boundary="open"):
 
 def _empty_ensemble(tmp_path):
     none = np.zeros((0, 4), dtype=np.int64)
-    empirical_queue_distribution(NaschEnsemble(30, "open", 3, 0.2, 0, 3, 0, none, none, none))
+    empirical_queue_distribution(NaschEnsemble(0, 3, none, none, none))
 
 
 def _nasch_out_of_order(tmp_path):
@@ -191,6 +199,14 @@ CASES = {
         _class(v_max=[[2, 0.5], [10**20, 1.0]]), VALIDATION,
         "scenario.classes[0].v_max: value outside the int64 range",
     ),
+    "int64_overflow_road_length": (
+        _set("road_length", 10**20), VALIDATION,
+        "scenario.road_length: value outside the int64 range",
+    ),
+    "int64_overflow_queue_count": (
+        _set("queue", {"class": "car", "count": 10**20}), VALIDATION,
+        "scenario.queue.count: value outside the int64 range",
+    ),
     "missing_fleet_class": (
         _set("fleet", [{"position": 2}]), PARSE, "scenario.fleet[0]: missing required field 'class'",
     ),
@@ -283,6 +299,19 @@ CASES = {
     "run_ring_negative_steps": (
         lambda tmp_path: run_ring(ring_state(CAR, 10, 2), -3, theta=0.5), ValueError,
         "steps must be at least 0, got -3",
+    ),
+    # flow cut thresholds: checked where a flow run starts, vehicles or not
+    "run_ring_theta_empty_road": (
+        lambda tmp_path: run_ring(FcmState((), 10), 3, theta=7.0), ValueError,
+        "flow cut threshold 7.0 not in (0, 1]",
+    ),
+    "run_ring_theta_zero_steps": (
+        lambda tmp_path: run_ring(ring_state(CAR, 10, 2), 0, theta=-1.0), ValueError,
+        "flow cut threshold -1.0 not in (0, 1]",
+    ),
+    "flow_summary_theta_empty_road": (
+        lambda tmp_path: flow_summary(FcmState((), 10), 0.0), ValueError,
+        "flow cut threshold 0.0 not in (0, 1]",
     ),
     "iter_rows_negative_steps": (
         lambda tmp_path: list(iter_rows(ring_state(CAR, 10, 2), -2)), ValueError,

@@ -29,7 +29,6 @@ from fuzzycell.simio import (
     NaschSettings,
     ScenarioConfig,
     ScenarioValidationError,
-    load_builtin,
 )
 from fuzzycell.metrics import (
     FdPoint,
@@ -228,8 +227,8 @@ def test_fd_point_invariant():
 
 
 def test_sweep_fcm_small():
-    cfg = sweep_config("fcm")
-    points = sweep_fundamental_diagram(cfg, densities=[0.1, 0.5, 1.0], warmup=10, window=30)
+    cfg = sweep_config("fcm", FdSettings(densities=[0.1, 0.5, 1.0], warmup=10, window=30))
+    points = sweep_fundamental_diagram(cfg)
     assert [p.density for p in points] == [0.1, 0.5, 1.0]
     for p in points:
         assert p.flow_cut_low <= p.flow_argmax <= p.flow_cut_high
@@ -237,8 +236,8 @@ def test_sweep_fcm_small():
 
 
 def test_sweep_nasch_small():
-    cfg = sweep_config("nasch")
-    points = sweep_fundamental_diagram(cfg, densities=[0.1, 0.5, 1.0], warmup=10, window=30)
+    cfg = sweep_config("nasch", FdSettings(densities=[0.1, 0.5, 1.0], warmup=10, window=30))
+    points = sweep_fundamental_diagram(cfg)
     for p in points:
         assert all(prob >= 0.1 for _, prob in p.states)
         total = sum(prob for _, prob in p.states)
@@ -248,8 +247,8 @@ def test_sweep_nasch_small():
 
 
 def test_sweep_site_count_estimator():
-    cfg = sweep_config("nasch", FdSettings(estimator="site_count"))
-    (point,) = sweep_fundamental_diagram(cfg, densities=[0.2], warmup=10, window=30)
+    fd = FdSettings(densities=[0.2], warmup=10, window=30, estimator="site_count")
+    (point,) = sweep_fundamental_diagram(sweep_config("nasch", fd))
     assert point.mean_flow > 0.0
 
 
@@ -260,15 +259,14 @@ def test_nasch_flow_states_match_unique_over_float_samples(monkeypatch, estimato
     # float samples k / road_length (or float(k)) gives the same values,
     # probabilities and mean flow, bit for bit
     rng = np.random.default_rng(seed)
-    fd = FdSettings(warmup=int(rng.integers(0, 5)), window=int(rng.integers(1, 60)),
-                    estimator=estimator, nasch_threshold=0.0)
+    fd = FdSettings(densities=[0.25], warmup=int(rng.integers(0, 5)),
+                    window=int(rng.integers(1, 60)), estimator=estimator, nasch_threshold=0.0)
     cfg = sweep_config("nasch", fd)
     runs, steps, high = cfg.nasch.runs, fd.warmup + fd.window, int(rng.integers(1, 300))
     grids = [rng.integers(0, high, (runs, steps)) for _ in range(2)]
-    ens = nasch.NaschEnsemble(cfg.road_length, "ring", 3, 0.2, runs, steps, 0,
-                              np.zeros((runs, steps + 1), dtype=np.int64), *grids)
+    ens = nasch.NaschEnsemble(runs, steps, np.zeros((runs, steps + 1), dtype=np.int64), *grids)
     monkeypatch.setattr(nasch, "monte_carlo", lambda *args: ens)
-    (point,) = sweep_fundamental_diagram(cfg, densities=[0.25])
+    (point,) = sweep_fundamental_diagram(cfg)
     if estimator == "site_count":
         samples = ens.crossings[:, fd.warmup:].astype(np.float64).ravel()
     else:
@@ -279,29 +277,20 @@ def test_nasch_flow_states_match_unique_over_float_samples(monkeypatch, estimato
 
 
 def test_sweep_rejects_bad_density():
-    cfg = sweep_config("fcm")
+    cfg = sweep_config("fcm", FdSettings(warmup=5, window=10))
     with pytest.raises(ScenarioValidationError, match="densities"):
-        sweep_fundamental_diagram(cfg, densities=[1.5], warmup=5, window=10)
+        replace(cfg, fd=replace(cfg.fd, densities=[1.5]))
     with pytest.raises(ValueError, match="no vehicle"):
-        sweep_fundamental_diagram(cfg, densities=[0.001], warmup=5, window=10)
+        sweep_fundamental_diagram(replace(cfg, fd=replace(cfg.fd, densities=[0.001])))
     with pytest.raises(ValueError, match="no densities"):
         sweep_fundamental_diagram(replace(cfg, fd=FdSettings()))
 
 
-@pytest.mark.parametrize("name", ["ring_fd_fcm", "ring_fd_nasch"])
-@pytest.mark.parametrize("warmup, window", [(5, 0), (-5, 30)])
-def test_sweep_rejects_bad_window(name, warmup, window):
-    # explicit arguments pass the scenario's own diagram checks
-    cfg = load_builtin(name)
-    with pytest.raises(ScenarioValidationError, match="scenario.fd: warmup"):
-        sweep_fundamental_diagram(cfg, densities=[0.2], warmup=warmup, window=window)
-
-
 def test_sweep_rejects_open_road():
     for model in ("fcm", "nasch"):
-        cfg = sweep_config(model)
+        cfg = sweep_config(model, FdSettings(densities=[0.1]))
         with pytest.raises(ScenarioValidationError, match="ring"):
-            sweep_fundamental_diagram(replace(cfg, boundary="open"), densities=[0.1])
+            sweep_fundamental_diagram(replace(cfg, boundary="open"))
 
 
 # ---------------------------------------------------------------------------
