@@ -26,9 +26,10 @@ round-trips through :func:`load_scenario` unchanged.
 
 The config types hold every scenario default and check themselves on
 construction and on ``dataclasses.replace``, raising a field-path
-:class:`ScenarioValidationError`; :func:`load_scenario` only parses.  A
-document, a command-line override and a sweep argument pass the same
-checks.  An omitted ``nasch`` or ``fd`` block takes the defaults.
+:class:`ScenarioValidationError`; :func:`load_scenario` only parses,
+and rejects an integer outside int64.  A document and a command-line
+override pass the same checks.  An omitted ``nasch`` or ``fd`` block
+takes the defaults.
 
 The dataclass fields are the schema.  One reader, ``_read``, and one
 writer, ``_doc``, cover every mapping of the document (the top level,
