@@ -29,6 +29,7 @@ from fuzzycell.simio import (
     NaschSettings,
     ScenarioConfig,
     ScenarioValidationError,
+    load_builtin,
 )
 from fuzzycell.metrics import (
     FdPoint,
@@ -284,6 +285,17 @@ def test_sweep_rejects_bad_density():
         sweep_fundamental_diagram(replace(cfg, fd=replace(cfg.fd, densities=[0.001])))
     with pytest.raises(ValueError, match="no densities"):
         sweep_fundamental_diagram(replace(cfg, fd=FdSettings()))
+
+
+@pytest.mark.parametrize("name", ["ring_fd_fcm", "ring_fd_nasch"])
+@pytest.mark.parametrize("warmup, window", [(5, 0), (-5, 30)])
+def test_sweep_rejects_bad_window(name, warmup, window):
+    # a sweep's window comes from its config, so a bad one is refused
+    # when the scenario's diagram settings are replaced
+    cfg = load_builtin(name)
+    with pytest.raises(ScenarioValidationError, match="scenario.fd: warmup"):
+        fd = replace(cfg.fd, densities=[0.2], warmup=warmup, window=window)
+        sweep_fundamental_diagram(replace(cfg, fd=fd))
 
 
 def test_sweep_rejects_open_road():
