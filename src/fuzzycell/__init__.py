@@ -39,7 +39,6 @@ from .model import (
     ring_state,
     step,
     stopped_queue,
-    trajectory,
     update_velocity,
 )
 
@@ -71,7 +70,6 @@ __all__ = [
     "ring_state",
     "step",
     "stopped_queue",
-    "trajectory",
     "truncate",
     "update_velocity",
     "wrap_mod",

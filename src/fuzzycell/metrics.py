@@ -39,7 +39,6 @@ __all__ = [
     "NaschFdPoint",
     "in_queue_degree",
     "queue_length",
-    "queue_series",
     "argmax_grade",
     "sweep_fundamental_diagram",
     "empirical_queue_distribution",
@@ -68,11 +67,6 @@ def queue_length(state: FcmState, initial_positions) -> dict[int, float]:
     :func:`in_queue_degree`, read from the state's engine rows.
     """
     return queue_length_of_rows(next(iter_rows(state, 0)), initial_positions)
-
-
-def queue_series(states, initial_positions) -> list[dict[int, float]]:
-    """Per-step fuzzy queue lengths along a recorded trajectory."""
-    return [queue_length(s, initial_positions) for s in states]
 
 
 def argmax_grade(dist: dict[int, float]) -> int:

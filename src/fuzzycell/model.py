@@ -92,7 +92,6 @@ __all__ = [
     "step",
     "flow_summary",
     "cell_occupancy",
-    "trajectory",
     "iter_states",
     "iter_rows",
     "membership_of_rows",
@@ -654,11 +653,6 @@ def cell_occupancy(state: FcmState, c: int) -> dict[int, float]:
         if g > 0.0:
             out[veh.index] = g
     return out
-
-
-def trajectory(state: FcmState, steps: int) -> list[FcmState]:
-    """The initial state followed by ``steps`` successive updates."""
-    return list(iter_states(state, steps))
 
 
 def iter_states(state: FcmState, steps: int):

@@ -29,7 +29,6 @@ __all__ = [
     "NaschState",
     "NaschEnsemble",
     "nasch_step",
-    "trajectory",
     "iter_states",
     "monte_carlo",
     "queue_length",
@@ -141,11 +140,6 @@ def nasch_step(state: NaschState) -> NaschState:
     draws = state.rng.random(pos.size)
     vel = np.where(draws < state.p, np.maximum(vel - 1, 0), vel)
     return replace(state, positions=pos + vel, velocities=vel, step=state.step + 1)
-
-
-def trajectory(state: NaschState, steps: int) -> list[NaschState]:
-    """The initial state followed by ``steps`` successive updates."""
-    return list(iter_states(state, steps))
 
 
 def iter_states(state: NaschState, steps: int):

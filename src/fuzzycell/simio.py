@@ -47,8 +47,8 @@ row per time step, one column per cell, black = membership 1.  Both are
 streamed: :func:`spacetime_rows` and :func:`queue_rows` write one step
 at a time as a simulation yields its states (the image height, steps +
 1, is known up front), so no trajectory or steps x road array is kept.
-:func:`write_spacetime` and :func:`write_queue_csv` feed a whole series
-through the same writers.
+:func:`write_queue_csv` writes the baseline ensemble's histogram through
+:func:`queue_rows`, and :func:`write_fd_csv` the diagram points.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ import numpy as np
 import yaml
 
 from .fuzznum import FuzzyInt, FuzzyNumError, crisp, defuzz_argmax, make_fuzzy
-from .model import BOUNDARIES, FcmState, FcmVehicle, VehicleClass, iter_rows, membership_of_rows
+from .model import BOUNDARIES, FcmState, FcmVehicle, VehicleClass
 from .nasch import NaschState
 
 __all__ = [
@@ -83,12 +83,8 @@ __all__ = [
     "load_builtin",
     "build_fcm_state",
     "build_nasch_state",
-    "fcm_membership_row",
     "nasch_occupancy_row",
-    "fcm_membership_frames",
-    "nasch_frames",
     "spacetime_rows",
-    "write_spacetime",
     "queue_rows",
     "write_queue_csv",
     "write_fd_csv",
@@ -347,6 +343,12 @@ def load_scenario(text: str) -> ScenarioConfig:
         spacing = _get(queue_raw, "spacing", int, path, 1)
         if spacing < 1:
             raise ScenarioValidationError(f"{path}.spacing: must be at least 1")
+        last = start + (count - 1) * spacing
+        if last >= config.road_length:
+            raise ScenarioValidationError(
+                f"{path}.count: {count} vehicles reach cell {last}, "
+                f"beyond the road of length {config.road_length}"
+            )
         queue = (FleetEntry(cname, crisp(start + k * spacing)) for k in range(count))
         config = replace(config, fleet=config.fleet + tuple(queue))
 
@@ -444,24 +446,9 @@ def build_nasch_state(config: ScenarioConfig) -> NaschState:
 # output writers
 
 
-def fcm_membership_row(state) -> np.ndarray:
-    """Per-cell maximal position membership over all vehicles of one state."""
-    return membership_of_rows(next(iter_rows(state, 0)), state.road_length)
-
-
 def nasch_occupancy_row(state) -> np.ndarray:
     """Crisp occupancy of one state (grade 1 where a vehicle sits)."""
     return (state.cells >= 0).astype(np.float64)
-
-
-def fcm_membership_frames(states) -> np.ndarray:
-    """Per-step, per-cell maximal position membership over all vehicles."""
-    return np.stack([fcm_membership_row(state) for state in states])
-
-
-def nasch_frames(states) -> np.ndarray:
-    """Crisp occupancy frames (grade 1 where a vehicle sits)."""
-    return np.stack([nasch_occupancy_row(state) for state in states])
 
 
 @contextmanager
@@ -493,22 +480,6 @@ def spacetime_rows(path, width: int, height: int):
         raise ValueError(f"{written} rows written, {height} declared")
 
 
-def write_spacetime(frames, path) -> None:
-    """Write membership frames as a binary PGM: black = grade 1, white = empty."""
-    arr = np.asarray(frames, dtype=np.float64)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError("frames must be a non-empty 2-D membership array")
-    with spacetime_rows(path, arr.shape[1], arr.shape[0]) as write:
-        for row in arr:
-            write(row)
-
-
-def _csv(path, header, rows) -> None:
-    lines = [header]
-    lines.extend(rows)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 @contextmanager
 def queue_rows(path, column: str):
     """Open a queue series CSV; yield a writer taking one step at a time.
@@ -528,21 +499,12 @@ def queue_rows(path, column: str):
         yield write
 
 
-def write_queue_csv(series, path) -> None:
-    """Queue series CSV: fuzzy grades or ensemble probabilities per length.
-
-    Fuzzy input is a list of value -> grade mappings (one per step);
-    ensemble input is a (steps x lengths) probability matrix.  Rows are
-    ordered by step then length, zero entries skipped.
-    """
-    if isinstance(series, np.ndarray):
-        column = "probability"
-        series = ({int(x): p[x] for x in np.flatnonzero(p > 0.0)} for p in series)
-    else:
-        column = "grade"
-    with queue_rows(path, column) as write:
-        for dist in series:
-            write(dist)
+def write_queue_csv(hist, path) -> None:
+    """Ensemble queue histogram CSV from a (steps x lengths) probability
+    matrix: rows ordered by step then length, zero entries skipped."""
+    with queue_rows(path, "probability") as write:
+        for p in hist:
+            write({int(x): p[x] for x in np.flatnonzero(p > 0.0)})
 
 
 def write_fd_csv(points, path) -> None:
@@ -561,4 +523,4 @@ def write_fd_csv(points, path) -> None:
             f"{p.density!r},{p.flow_argmax!r},{p.flow_cut_low!r},{p.flow_cut_high!r}"
             for p in points
         ]
-    _csv(path, header, rows)
+    Path(path).write_text("\n".join([header, *rows]) + "\n")

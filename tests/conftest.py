@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import pytest
 
 from fuzzycell import FuzzyInt, VehicleClass, crisp, make_fuzzy
+from fuzzycell.metrics import in_queue_degree
 
 
 @st.composite
@@ -49,3 +50,14 @@ def queue_class() -> VehicleClass:
 
 def fuzzy_from(pairs) -> FuzzyInt:
     return make_fuzzy(pairs)
+
+
+def queue_length_reference(state, slots):
+    """The graded prefix rule composed from per-vehicle in-queue degrees."""
+    degrees = [in_queue_degree(veh, slot) for veh, slot in zip(state.vehicles, slots)]
+    out = {}
+    for x in range(len(degrees) + 1):
+        grade = min([*degrees[:x], *(1.0 - d for d in degrees[x:])], default=1.0)
+        if grade > 0.0:
+            out[x] = grade
+    return out

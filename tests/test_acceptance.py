@@ -24,10 +24,10 @@ from fuzzycell import (
     ext_sub,
     make_fuzzy,
     oracle_ext_op,
-    trajectory,
 )
 from fuzzycell import metrics, nasch
 from fuzzycell.cli import main
+from fuzzycell.model import iter_states
 from fuzzycell.model import step as model_step
 from fuzzycell.simio import build_fcm_state, build_nasch_state, load_builtin
 
@@ -108,7 +108,8 @@ def test_criterion_3_single_vehicle_reproduction():
             config = load_builtin(name)
             assert config.fleet[0].position == crisp(0)
             assert config.fleet[0].velocity == crisp(0)
-            runs[config.alpha] = (config, trajectory(build_fcm_state(config), config.steps))
+            states = list(iter_states(build_fcm_state(config), config.steps))
+            runs[config.alpha] = (config, states)
         assert set(runs) == {0.9, 0.1}
 
         for alpha, (config, states) in runs.items():
@@ -145,9 +146,11 @@ def test_criterion_4_queue_discharge():
         assert config.nasch.p == 0.2 and config.nasch.v_max == 3
         assert config.nasch.runs == 200
 
-        states = trajectory(build_fcm_state(config), config.steps)
         slots = [defuzz_argmax(e.position) for e in config.fleet]
-        series = metrics.queue_series(states, slots)
+        series = [
+            metrics.queue_length(state, slots)
+            for state in iter_states(build_fcm_state(config), config.steps)
+        ]
         assert series[0] == {50: 1.0}
         fuzzy_lengths = [metrics.argmax_grade(q) for q in series]
         assert all(a >= b for a, b in zip(fuzzy_lengths, fuzzy_lengths[1:]))

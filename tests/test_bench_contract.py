@@ -4,8 +4,10 @@
 call to each ``layer.name`` in its ``ENGINE`` tuple, found among the
 public functions of ``fuzzycell.<layer>``, and its traced observers read
 the arguments of those calls and the ``runs`` and ``steps`` of the
-ensemble ``nasch.monte_carlo`` returns.  A rename or a changed signature
-there would fail every benchmark sample and no other test.
+ensemble ``nasch.monte_carlo`` returns.  Its ``fuzzy_ops`` workload
+calls ``fuzznum`` and ``model`` functions directly.  A rename, a
+deletion or a changed signature there would fail every benchmark sample
+and no other test.
 """
 
 import ast
@@ -47,3 +49,24 @@ def test_engine_entry_points_are_public_functions():
 def test_monte_carlo_result_has_runs_and_steps():
     ensemble = nasch.monte_carlo(nasch.queue_state(3, 20), 4, 2, 0)
     assert (ensemble.runs, ensemble.steps) == (2, 4)
+
+
+def test_every_package_attribute_the_sample_reads_exists():
+    tree = ast.parse(SAMPLE.read_text())
+    modules = {
+        alias.asname or alias.name: importlib.import_module(f"fuzzycell.{alias.name}")
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "fuzzycell"
+        for alias in node.names
+    }
+    assert {"cli", "fuzznum", "model"} <= set(modules)
+    read = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert {mod for mod, _ in read} == set(modules)  # the walk sees every module
+    missing = [f"{mod}.{attr}" for mod, attr in sorted(read) if not hasattr(modules[mod], attr)]
+    assert missing == []

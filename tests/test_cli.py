@@ -2,24 +2,21 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from fuzzycell import defuzz_argmax, model, nasch
+from conftest import queue_length_reference
+from fuzzycell import cell_occupancy, defuzz_argmax, model, nasch
 from fuzzycell.cli import build_parser, main
-from fuzzycell.metrics import (
-    empirical_queue_distribution,
-    queue_series,
-    sweep_fundamental_diagram,
-)
+from fuzzycell.metrics import empirical_queue_distribution, sweep_fundamental_diagram
 from fuzzycell.simio import (
     build_fcm_state,
     build_nasch_state,
-    fcm_membership_frames,
     load_scenario,
-    nasch_frames,
+    queue_rows,
+    spacetime_rows,
     write_fd_csv,
     write_queue_csv,
-    write_spacetime,
 )
 
 SMALL_SCENARIO = """
@@ -137,9 +134,15 @@ def test_run_streams_nasch_spacetime(tmp_path):
     path = tmp_path / "ring.yaml"
     path.write_text(text)
     assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 0
+    # reference rows: a vehicle's ring cell is its position modulo the road
     config = load_scenario(text)
+    road = config.road_length
     expected = tmp_path / "expected.pgm"
-    write_spacetime(nasch_frames(nasch.trajectory(build_nasch_state(config), 40)), expected)
+    with spacetime_rows(expected, road, config.steps + 1) as write:
+        for state in nasch.iter_states(build_nasch_state(config), config.steps):
+            row = np.zeros(road)
+            row[state.positions % road] = 1.0
+            write(row)
     assert (tmp_path / "ring.pgm").read_bytes() == expected.read_bytes()
 
 
@@ -172,16 +175,22 @@ outputs:
 
 @pytest.mark.parametrize("boundary", ["open", "ring"])
 def test_run_streams_fcm_rows_as_the_state_writers(tmp_path, boundary):
-    # the stream reads engine rows; its bytes equal the per-state functions'
+    # the stream reads engine rows; its bytes equal rows built per state
+    # from the fuzzy sets: the cell occupancy maximum and the prefix rule
     text = MIXED_FCM_SCENARIO.format(boundary=boundary)
     path = tmp_path / "mixed.yaml"
     path.write_text(text)
     assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 0
     config = load_scenario(text)
-    states = model.trajectory(build_fcm_state(config), config.steps)
+    road = config.road_length
     slots = [defuzz_argmax(e.position) for e in config.fleet]
-    write_spacetime(fcm_membership_frames(states), tmp_path / "expected.pgm")
-    write_queue_csv(queue_series(states, slots), tmp_path / "expected.csv")
+    with (
+        spacetime_rows(tmp_path / "expected.pgm", road, config.steps + 1) as write_row,
+        queue_rows(tmp_path / "expected.csv", "grade") as write_queue,
+    ):
+        for state in model.iter_states(build_fcm_state(config), config.steps):
+            write_row([max(cell_occupancy(state, c).values(), default=0.0) for c in range(road)])
+            write_queue(queue_length_reference(state, slots))
     assert (tmp_path / "mixed.pgm").read_bytes() == (tmp_path / "expected.pgm").read_bytes()
     assert (tmp_path / "mixed_queue.csv").read_text() == (tmp_path / "expected.csv").read_text()
 

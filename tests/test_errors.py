@@ -32,7 +32,6 @@ from fuzzycell.simio import (
     load_scenario,
     load_scenario_file,
     spacetime_rows,
-    write_spacetime,
 )
 
 VALID = {
@@ -167,6 +166,17 @@ CASES = {
         _set("queue", {"class": "car", "count": 2, "spacing": 0}), VALIDATION,
         "scenario.queue.spacing: must be at least 1",
     ),
+    # the queue is bounded by the road before any entry is built
+    "queue_past_open_road": (
+        _set("queue", {"class": "car", "count": 100000}), VALIDATION,
+        "scenario.queue.count: 100000 vehicles reach cell 99999, beyond the road of length 30",
+    ),
+    "queue_past_ring": (
+        _document(lambda doc: doc.update(
+            boundary="ring", queue={"class": "car", "count": 10, "start": 3, "spacing": 3},
+        )), VALIDATION,
+        "scenario.queue.count: 10 vehicles reach cell 30, beyond the road of length 30",
+    ),
     "bool_value_in_fuzzy_pair": (
         _class(v_max=[[True, 1.0]]), PARSE,
         "scenario.classes[0].v_max: expected integer or [value, grade] pairs",
@@ -261,10 +271,6 @@ CASES = {
     ),
     "spacetime_height": (
         _spacetime(3, 0), ValueError, "a space-time image needs at least one row and one cell",
-    ),
-    "write_spacetime_1d": (
-        lambda tmp_path: write_spacetime(np.zeros(3), tmp_path / "x.pgm"), ValueError,
-        "frames must be a non-empty 2-D membership array",
     ),
     # fuzzy numbers and model states
     "wrap_mod_modulus": (

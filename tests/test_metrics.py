@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import fuzzy_ints
+from conftest import fuzzy_ints, queue_length_reference
 from fuzzycell import (
     FcmState,
     FcmVehicle,
@@ -20,10 +20,9 @@ from fuzzycell import (
     ring_state,
     step,
     stopped_queue,
-    trajectory,
 )
 from fuzzycell import nasch
-from fuzzycell.model import flow_summary, run_ring
+from fuzzycell.model import flow_summary, iter_states, run_ring
 from fuzzycell.simio import (
     FdSettings,
     NaschSettings,
@@ -39,7 +38,6 @@ from fuzzycell.metrics import (
     is_unimodal,
     modal_series,
     queue_length,
-    queue_series,
     sweep_fundamental_diagram,
 )
 
@@ -119,17 +117,6 @@ def test_queue_length_contradictory_degrees_is_empty(queue_class):
     assert queue_length(st, [0, 1]) == {}
 
 
-def queue_length_reference(state, slots):
-    """The graded prefix rule composed from per-vehicle in-queue degrees."""
-    degrees = [in_queue_degree(veh, slot) for veh, slot in zip(state.vehicles, slots)]
-    out = {}
-    for x in range(len(degrees) + 1):
-        grade = min([*degrees[:x], *(1.0 - d for d in degrees[x:])], default=1.0)
-        if grade > 0.0:
-            out[x] = grade
-    return out
-
-
 @hs.composite
 def queued_states(draw):
     """Fuzzy states with one start cell per vehicle.  A start cell may lie
@@ -168,8 +155,8 @@ def test_argmax_grade():
 
 
 def test_queue_series_runs_along_trajectory(queue_class):
-    states = trajectory(stopped_queue(queue_class, 5, 60), 4)
-    series = queue_series(states, range(5))
+    states = iter_states(stopped_queue(queue_class, 5, 60), 4)
+    series = [queue_length(state, range(5)) for state in states]
     assert series[0] == {5: 1.0}
     assert len(series) == 5
 

@@ -31,7 +31,6 @@ from fuzzycell import (
     ring_state,
     step,
     stopped_queue,
-    trajectory,
     update_velocity,
 )
 from fuzzycell.fuzznum import _from_dense_rows
@@ -933,7 +932,7 @@ def test_iter_rows_yields_read_only_rows(queue_class, boundary):
 def test_degenerate_class_raises_at_the_first_update():
     cls = VehicleClass("d", crisp(1), fz((0, 1.0), (2, 0.4)), crisp(1))
     st = FcmState((FcmVehicle(0, cls, crisp(3), crisp(0)),), 20, "open")
-    assert trajectory(st, 0) == [st]
+    assert list(iter_states(st, 0)) == [st]
     states = iter_states(st, 2)
     assert next(states) is st
     with pytest.raises(DegenerateClassError):
@@ -952,7 +951,7 @@ def run_single_vehicle(alpha, steps=12, vclass=None):
         fz((0, 0.2), (1, 1.0), (2, 0.2)),
     )
     st = FcmState((FcmVehicle(0, cls, crisp(0), crisp(0)),), 200, "open", alpha=alpha)
-    return trajectory(st, steps)
+    return list(iter_states(st, steps))
 
 
 def test_single_vehicle_width_grows_until_top_speed():

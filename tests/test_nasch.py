@@ -11,12 +11,12 @@ from hypothesis import example, given, settings
 from fuzzycell import nasch
 from fuzzycell.nasch import (
     NaschState,
+    iter_states,
     monte_carlo,
     nasch_step,
     queue_length,
     queue_state,
     ring_uniform,
-    trajectory,
 )
 
 # PCG64 output locked down: the simulation contract guarantees this exact
@@ -68,9 +68,9 @@ def test_randomization_decrements():
 
 
 def test_determinism_per_seed():
-    a = trajectory(queue_state(10, 100, seed=5), 50)
-    b = trajectory(queue_state(10, 100, seed=5), 50)
-    c = trajectory(queue_state(10, 100, seed=6), 50)
+    a = list(iter_states(queue_state(10, 100, seed=5), 50))
+    b = list(iter_states(queue_state(10, 100, seed=5), 50))
+    c = list(iter_states(queue_state(10, 100, seed=6), 50))
     assert all(np.array_equal(x.positions, y.positions) for x, y in zip(a, b))
     assert any(not np.array_equal(x.positions, y.positions) for x, y in zip(a, c))
 

@@ -24,15 +24,13 @@ from fuzzycell.simio import (
     build_nasch_state,
     builtin_scenarios,
     dump_scenario,
-    fcm_membership_frames,
-    fcm_membership_row,
     load_builtin,
     load_scenario,
-    nasch_frames,
+    nasch_occupancy_row,
+    queue_rows,
     spacetime_rows,
     write_fd_csv,
     write_queue_csv,
-    write_spacetime,
 )
 
 MINIMAL = """
@@ -302,13 +300,19 @@ def test_build_nasch_state_defuzzifies():
 # writers
 
 
+def write_frames(frames, path):
+    with spacetime_rows(path, frames.shape[1], frames.shape[0]) as write:
+        for row in frames:
+            write(row)
+
+
 def test_spacetime_pgm_bytes(tmp_path):
     frames = np.zeros((3, 4))
     frames[0, 0] = 1.0
     frames[1, 1] = 1.0
     frames[2, 2] = 0.2275
     target = tmp_path / "out.pgm"
-    write_spacetime(frames, target)
+    write_frames(frames, target)
     data = target.read_bytes()
     assert data.startswith(b"P5\n4 3\n255\n")
     pixels = data[len(b"P5\n4 3\n255\n") :]
@@ -321,16 +325,17 @@ def test_spacetime_pgm_bytes(tmp_path):
 def test_spacetime_deterministic(tmp_path):
     frames = np.random.default_rng(0).random((5, 7))
     a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
-    write_spacetime(frames, a)
-    write_spacetime(frames, b)
+    write_frames(frames, a)
+    write_frames(frames, b)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_fcm_frames_from_states(queue_class):
-    from fuzzycell import FcmState, FcmVehicle, trajectory
+    from fuzzycell import FcmState, FcmVehicle
+    from fuzzycell.model import iter_rows, membership_of_rows
 
     st = FcmState((FcmVehicle(0, queue_class, crisp(0), crisp(0)),), 10, "open")
-    frames = fcm_membership_frames(trajectory(st, 2))
+    frames = np.stack([membership_of_rows(rows, 10) for rows in iter_rows(st, 2)])
     assert frames.shape == (3, 10)
     assert frames[0, 0] == 1.0 and frames[0, 1] == 0.0
     assert frames[1].max() == 1.0
@@ -339,7 +344,7 @@ def test_fcm_frames_from_states(queue_class):
 @pytest.mark.parametrize("boundary", ["open", "ring"])
 def test_fcm_membership_row_matches_cell_occupancy(boundary, queue_class):
     from fuzzycell import FcmState, FcmVehicle, cell_occupancy
-    from fuzzycell.model import iter_states
+    from fuzzycell.model import iter_rows, iter_states, membership_of_rows
 
     road = 24
     rng = np.random.default_rng(11 if boundary == "open" else 12)
@@ -352,9 +357,9 @@ def test_fcm_membership_row_matches_cell_occupancy(boundary, queue_class):
         vehicles.append(FcmVehicle(i, queue_class, make_fuzzy(support), velocity))
     state = FcmState(tuple(vehicles), road, boundary)
     # open-road supports run past the road's end; rings wrap on every step
-    for st in iter_states(state, 30):
+    for st, rows in zip(iter_states(state, 30), iter_rows(state, 30), strict=True):
         expected = [max(cell_occupancy(st, c).values(), default=0.0) for c in range(road)]
-        assert fcm_membership_row(st).tolist() == expected
+        assert membership_of_rows(rows, road).tolist() == expected
 
 
 def test_spacetime_rows_checks_the_declared_height(tmp_path):
@@ -373,8 +378,8 @@ def test_spacetime_rows_checks_the_declared_height(tmp_path):
 def test_nasch_frames_staircase():
     from fuzzycell import nasch
 
-    states = nasch.trajectory(nasch.queue_state(1, 12, p=0.0, seed=0), 3)
-    frames = nasch_frames(states)
+    states = nasch.iter_states(nasch.queue_state(1, 12, p=0.0, seed=0), 3)
+    frames = np.stack([nasch_occupancy_row(state) for state in states])
     # single car accelerating from rest: 0, 1, 3, 6
     rows = [int(np.argmax(row)) for row in frames]
     assert rows == [0, 1, 3, 6]
@@ -383,7 +388,9 @@ def test_nasch_frames_staircase():
 
 def test_queue_csv_fuzzy(tmp_path):
     target = tmp_path / "q.csv"
-    write_queue_csv([{50: 1.0}, {0: 0.8, 1: 0.2}], target)
+    with queue_rows(target, "grade") as write:
+        write({50: 1.0})
+        write({1: 0.2, 0: 0.8})
     assert target.read_text() == (
         "step,length,grade\n0,50,1.0\n1,0,0.8\n1,1,0.2\n"
     )
@@ -391,7 +398,8 @@ def test_queue_csv_fuzzy(tmp_path):
 
 def test_queue_csv_empty_series(tmp_path):
     target = tmp_path / "q.csv"
-    write_queue_csv([], target)
+    with queue_rows(target, "grade"):
+        pass
     assert target.read_text() == "step,length,grade\n"
 
 
