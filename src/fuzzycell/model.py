@@ -90,6 +90,7 @@ __all__ = [
     "advance_position",
     "reference_step",
     "step",
+    "run_ring",
     "flow_summary",
     "cell_occupancy",
     "iter_states",

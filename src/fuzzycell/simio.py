@@ -26,20 +26,21 @@ round-trips through :func:`load_scenario` unchanged.
 
 The config types hold every scenario default and check themselves on
 construction and on ``dataclasses.replace``, raising a field-path
-:class:`ScenarioValidationError`; :func:`load_scenario` only parses,
-and rejects an integer outside int64.  A document and a command-line
-override pass the same checks.  An omitted ``nasch`` or ``fd`` block
-takes the defaults.
+:class:`ScenarioValidationError`.  :func:`load_scenario` also rejects
+an integer outside int64 and builds the model state once, so a fleet
+the model rejects fails at load, at ``scenario.fleet``.  A document and
+a command-line override pass the same checks.  An omitted ``nasch`` or
+``fd`` block takes the defaults.
 
-The dataclass fields are the schema.  One reader, ``_read``, and one
-writer, ``_doc``, cover every mapping of the document (the top level,
-classes, fleet entries, ``nasch``, ``fd`` and outputs), taking each
-field's key, YAML type and default from ``dataclasses.fields``.  A
-field's key is its name, except a fleet entry's ``class``, which
-:class:`FleetEntry` declares in its ``class_name`` field's metadata.
+The dataclass fields are the schema.  One reader, ``_read``, covers
+every mapping of the document (the top level, classes, fleet entries,
+``queue``, ``nasch``, ``fd`` and outputs) and one writer, ``_doc``, all
+but ``queue``, which the fleet holds expanded.  Both take each field's
+key, YAML type and default from ``dataclasses.fields``.  A key is the
+field's name, except ``class``, which :class:`FleetEntry` and
+:class:`QueueSpec` declare in their ``class_name`` field's metadata.
 Every mapping accepts only the keys its config type knows; any other
-key is a :class:`ScenarioParseError` naming its path.  ``queue`` is the
-one mapping read by hand, since it expands to fleet entries.
+key is a :class:`ScenarioParseError` naming its path.
 
 Outputs: CSV time series with ``repr``-formatted floats (stable bytes
 for golden-file comparison) and binary PGM (P5) space-time images, one
@@ -73,6 +74,7 @@ __all__ = [
     "ScenarioValidationError",
     "OutputSpec",
     "FleetEntry",
+    "QueueSpec",
     "NaschSettings",
     "FdSettings",
     "ScenarioConfig",
@@ -118,6 +120,24 @@ class FleetEntry:
     class_name: str = field(metadata={"key": "class"})
     position: FuzzyInt
     velocity: FuzzyInt = field(default_factory=lambda: crisp(0))
+
+
+@dataclass(frozen=True)
+class QueueSpec:
+    """The ``queue`` shorthand: ``count`` stopped vehicles, ``spacing`` apart."""
+
+    class_name: str = field(metadata={"key": "class"})
+    count: int
+    start: int = 0
+    spacing: int = 1
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ScenarioValidationError("scenario.queue.count: must be at least 1")
+        if self.start < 0:
+            raise ScenarioValidationError("scenario.queue.start: must be non-negative")
+        if self.spacing < 1:
+            raise ScenarioValidationError("scenario.queue.spacing: must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -169,7 +189,8 @@ class FdSettings:
 @dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
     """A scenario.  Fleet entries and output kinds are checked here, not in
-    their own types, because the error's field path needs their index."""
+    their own types, because the error's field path needs their index;
+    the model's own rules for the fleet are checked by the builders."""
 
     model: str
     road_length: int
@@ -241,21 +262,6 @@ def _need(mapping, key, types, path):
     return value
 
 
-def _get(mapping, key, types, path, default):
-    if mapping.get(key) is None:
-        return default
-    return _need(mapping, key, types, path)
-
-
-def _known(raw, path, keys):
-    """Check that ``raw`` is a mapping with no key outside ``keys``."""
-    if not isinstance(raw, dict):
-        raise ScenarioParseError(f"{path}: expected a mapping")
-    for key in raw:
-        if key not in keys:
-            raise ScenarioParseError(f"{path}.{key}: unknown field")
-
-
 @cache
 def _schema(config_type) -> dict:
     """Each field of ``config_type`` by its document key (the field's
@@ -274,7 +280,11 @@ def _read(raw, config_type, path):
     """Build ``config_type`` from the mapping ``raw``, which may hold no key
     but the type's fields."""
     schema = _schema(config_type)
-    _known(raw, path, schema)
+    if not isinstance(raw, dict):
+        raise ScenarioParseError(f"{path}: expected a mapping")
+    for key in raw:
+        if key not in schema:
+            raise ScenarioParseError(f"{path}.{key}: unknown field")
     values = {}
     for key, (name, hint, required) in schema.items():
         if not required and raw.get(key) is None:
@@ -319,38 +329,31 @@ def _fuzzy_literal(raw, path) -> FuzzyInt:
 
 
 def load_scenario(text: str) -> ScenarioConfig:
-    """Parse a scenario document; the config types check its values."""
+    """Parse a scenario document; the config types and the model check it."""
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ScenarioParseError(f"invalid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a mapping")
-    queue_raw = _get(doc, "queue", dict, "scenario", None)
+    queue = doc.get("queue")
+    if queue is not None:
+        queue = _read(_need(doc, "queue", dict, "scenario"), QueueSpec, "scenario.queue")
     doc.pop("queue", None)
     config = _read(doc, ScenarioConfig, "scenario")
 
-    if queue_raw is not None:
-        path = "scenario.queue"
-        _known(queue_raw, path, ("class", "count", "start", "spacing"))
-        cname = _need(queue_raw, "class", str, path)
-        if cname not in {c.name for c in config.classes}:
-            raise ScenarioValidationError(f"{path}.class: unknown class {cname!r}")
-        count = _need(queue_raw, "count", int, path)
-        if count < 1:
-            raise ScenarioValidationError(f"{path}.count: must be at least 1")
-        start = _get(queue_raw, "start", int, path, 0)
-        spacing = _get(queue_raw, "spacing", int, path, 1)
-        if spacing < 1:
-            raise ScenarioValidationError(f"{path}.spacing: must be at least 1")
-        last = start + (count - 1) * spacing
-        if last >= config.road_length:
+    if queue is not None:
+        name = queue.class_name
+        cells = range(queue.start, queue.start + queue.count * queue.spacing, queue.spacing)
+        if name not in {c.name for c in config.classes}:
+            raise ScenarioValidationError(f"scenario.queue.class: unknown class {name!r}")
+        if cells[-1] >= config.road_length:
             raise ScenarioValidationError(
-                f"{path}.count: {count} vehicles reach cell {last}, "
+                f"scenario.queue.count: {queue.count} vehicles reach cell {cells[-1]}, "
                 f"beyond the road of length {config.road_length}"
             )
-        queue = (FleetEntry(cname, crisp(start + k * spacing)) for k in range(count))
-        config = replace(config, fleet=config.fleet + tuple(queue))
+        entries = tuple(FleetEntry(name, crisp(cell)) for cell in cells)
+        config = replace(config, fleet=config.fleet + entries)
 
     # A document rule, not a config rule: ``compare`` runs a nasch
     # scenario's configuration as model fcm, whatever its estimator.
@@ -358,6 +361,7 @@ def load_scenario(text: str) -> ScenarioConfig:
         raise ScenarioValidationError(
             "scenario.fd.estimator: site_count applies to the nasch model only"
         )
+    (build_fcm_state if config.model == "fcm" else build_nasch_state)(config)
     return config
 
 
@@ -405,26 +409,21 @@ def load_builtin(name: str) -> ScenarioConfig:
 
 
 def build_fcm_state(config: ScenarioConfig) -> FcmState:
-    """Initial fuzzy road state for a loaded scenario."""
+    """Initial fuzzy road state; a model error names ``scenario.fleet``."""
     by_name = {c.name: c for c in config.classes}
-    vehicles = tuple(
-        FcmVehicle(i, by_name[e.class_name], e.position, e.velocity)
-        for i, e in enumerate(config.fleet)
-    )
     try:
-        return FcmState(
-            vehicles,
-            config.road_length,
-            config.boundary,
-            config.alpha,
-            config.epsilon,
+        vehicles = tuple(
+            FcmVehicle(i, by_name[e.class_name], e.position, e.velocity)
+            for i, e in enumerate(config.fleet)
         )
+        return FcmState(vehicles, config.road_length, config.boundary, config.alpha, config.epsilon)
     except ValueError as exc:
-        raise ScenarioValidationError(str(exc)) from exc
+        raise ScenarioValidationError(f"scenario.fleet: {exc}") from exc
 
 
 def build_nasch_state(config: ScenarioConfig) -> NaschState:
-    """Initial baseline state; fuzzy fleet entries are defuzzified."""
+    """Initial baseline state with the fleet defuzzified; a model error
+    names ``scenario.fleet``."""
     ns = config.nasch
     positions = [defuzz_argmax(e.position) for e in config.fleet]
     velocities = [min(defuzz_argmax(e.velocity), ns.v_max) for e in config.fleet]
@@ -439,7 +438,7 @@ def build_nasch_state(config: ScenarioConfig) -> NaschState:
             ns.base_seed,
         )
     except ValueError as exc:
-        raise ScenarioValidationError(str(exc)) from exc
+        raise ScenarioValidationError(f"scenario.fleet: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from fuzzycell.simio import (
     ScenarioError,
     ScenarioParseError,
     ScenarioValidationError,
-    build_nasch_state,
     load_builtin,
     load_scenario,
     load_scenario_file,
@@ -86,12 +85,6 @@ def _nasch_state(positions=(), road_length=100, boundary="open"):
 def _empty_ensemble(tmp_path):
     none = np.zeros((0, 4), dtype=np.int64)
     empirical_queue_distribution(NaschEnsemble(0, 3, none, none, none))
-
-
-def _nasch_out_of_order(tmp_path):
-    doc = dict(VALID, model="nasch")
-    doc["fleet"] = [{"class": "car", "position": 5}, {"class": "car", "position": 2}]
-    build_nasch_state(load_scenario(yaml.safe_dump(doc)))
 
 
 VALIDATION = ScenarioValidationError
@@ -165,6 +158,14 @@ CASES = {
     "queue_spacing": (
         _set("queue", {"class": "car", "count": 2, "spacing": 0}), VALIDATION,
         "scenario.queue.spacing: must be at least 1",
+    ),
+    "queue_negative_start": (
+        _set("queue", {"class": "car", "count": 3, "start": -2}), VALIDATION,
+        "scenario.queue.start: must be non-negative",
+    ),
+    "queue_not_a_mapping": (
+        _set("queue", [{"class": "car", "count": 3}]), PARSE,
+        "scenario.queue: expected <class 'dict'>, got list",
     ),
     # the queue is bounded by the road before any entry is built
     "queue_past_open_road": (
@@ -262,10 +263,30 @@ CASES = {
         lambda tmp_path: load_builtin("ring_fd"), ScenarioError,
         "no builtin scenario named 'ring_fd'",
     ),
-    # builders and writers
+    # the model's fleet rules, checked at load by building the state
     "nasch_fleet_out_of_order": (
-        _nasch_out_of_order, VALIDATION, "positions must be strictly increasing",
+        _document(lambda doc: doc.update(
+            model="nasch",
+            fleet=[{"class": "car", "position": 5}, {"class": "car", "position": 2}],
+        )), VALIDATION,
+        "scenario.fleet: positions must be strictly increasing",
     ),
+    "queue_behind_fleet": (
+        _document(lambda doc: doc.update(
+            fleet=[{"class": "car", "position": 20}],
+            queue={"class": "car", "count": 3, "start": 1},
+        )), VALIDATION,
+        "scenario.fleet: initial positions must increase downstream with index",
+    ),
+    "fleet_velocity_above_v_max": (
+        _set("fleet", [{"class": "car", "position": 2, "velocity": 7}]), VALIDATION,
+        "scenario.fleet: vehicle 0: velocity support exceeds the class maximum",
+    ),
+    "fleet_negative_velocity": (
+        _set("fleet", [{"class": "car", "position": 2, "velocity": -1}]), VALIDATION,
+        "scenario.fleet: vehicle 0: velocity support must be non-negative",
+    ),
+    # writers
     "spacetime_width": (
         _spacetime(0, 3), ValueError, "a space-time image needs at least one row and one cell",
     ),

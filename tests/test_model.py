@@ -796,19 +796,46 @@ def cycling_update(fleet, pos, origin, vel, relabel=1):
             np.roll(cycled(vel), relabel, axis=0))
 
 
+def _period_3_ring():
+    """Four vehicles whose state under cycling_update repeats every 3 updates."""
+    vehicles = tuple(
+        FcmVehicle(i, RING_CAR, crisp(3 * i), fz((0, 1.0), (1, 0.3))) for i in range(4)
+    )
+    return FcmState(vehicles, 20, "ring")
+
+
 @pytest.mark.parametrize("steps, simulated", [(50, 8), (51, 9), (52, 7)])
 def test_skip_fills_flows_and_rolls_rows_over_a_period_of_3(monkeypatch, steps, simulated):
     # confirmed at update 7 with period 3, which does not divide the
     # flow batch: the cut at update 7, 8 or 9 falls inside the first batch
-    vehicles = tuple(
-        FcmVehicle(i, RING_CAR, crisp(3 * i), fz((0, 1.0), (1, 0.3))) for i in range(4)
-    )
-    st = FcmState(vehicles, 20, "ring")
+    st = _period_3_ring()
     calls = counting_updates(monkeypatch, cycling_update)
     got = run_ring(st, steps, theta=0.5)
     assert len(calls) == simulated
     assert len(set(got[1][-3:])) > 1
     assert got == stepped(st, steps, theta=0.5)
+
+
+@pytest.mark.parametrize("kept, simulated", [(2, 50), (8, 8)])
+def test_ring_keys_stay_within_their_bound(monkeypatch, kept, simulated):
+    # 2 keys are dropped before any key of the period-3 cycle repeats,
+    # so every update is simulated; 8 keys still hold the nominating one
+    sizes = []
+
+    class Watched(model._Repeats):
+        def see(self, t, rows):
+            cycle = super().see(t, rows)
+            sizes.append(len(self.seen))
+            return cycle
+
+    monkeypatch.setattr(model, "_KEYS_KEPT", kept)
+    monkeypatch.setattr(model, "_Repeats", Watched)
+    st = _period_3_ring()
+    calls = counting_updates(monkeypatch, cycling_update)
+    got = run_ring(st, 50, theta=0.5)
+    assert len(calls) == simulated
+    assert got == stepped(st, 50, theta=0.5)
+    assert sizes and max(sizes) <= kept
 
 
 @pytest.mark.parametrize("classes, simulated", [("AA", 9), ("AB", 60)])
