@@ -38,7 +38,6 @@ from .model import (
     gap,
     ring_state,
     step,
-    stopped_queue,
     update_velocity,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "oracle_ext_op",
     "ring_state",
     "step",
-    "stopped_queue",
     "truncate",
     "update_velocity",
     "wrap_mod",

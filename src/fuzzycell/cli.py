@@ -103,7 +103,9 @@ def _dispatch(args) -> int:
 
     if args.command == "run":
         if not config.outputs:
-            raise ValueError("scenario declares no outputs; nothing to write")
+            raise simio.ScenarioValidationError(
+                "scenario.outputs: scenario declares no outputs; nothing to write"
+            )
         _write(config, [(spec.kind, out_dir / spec.path) for spec in config.outputs])
     elif args.command == "queue-experiment":
         fallback = f"{stem}_{config.model}_queue.csv"

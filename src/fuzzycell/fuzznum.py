@@ -341,7 +341,8 @@ def defuzz_argmax(a: FuzzyInt) -> int:
 
 
 def alpha_cut(a: FuzzyInt, theta: float) -> tuple[int, int]:
-    """(min, max) of the values whose grade is >= theta, for theta in (0, 1]."""
+    """(min, max) of the values whose grade is >= theta, for theta in (0, 1];
+    the reference for the flow cut bounds of ``model._flow_rows``."""
     theta = float(theta)
     if not (0.0 < theta <= 1.0):
         raise ValueError(f"alpha-cut threshold {theta!r} not in (0, 1]")

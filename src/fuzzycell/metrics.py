@@ -1,11 +1,4 @@
-"""Observables: fuzzy queue lengths, fundamental diagrams, ensemble histograms.
-
-The fuzzy queue length follows a graded prefix rule: the queue has
-length x to the degree that vehicles 0..x-1 (counted from the rear) are
-still queued and the rest are not, with min as conjunction and 1-g as
-negation.  The result is a plain value -> grade mapping because the
-involved degrees can leave no length fully possible (sub-normal), which
-the plotting side renders as-is.
+"""Observables: fundamental diagrams and ensemble histograms.
 
 Flow on a ring is the extension-principle sum of all vehicle velocities
 scaled by 1/road_length.  It has one implementation in the model:
@@ -24,62 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nasch as nasch_mod
-from .model import (
-    FcmState,
-    FcmVehicle,
-    iter_rows,
-    queue_length_of_rows,
-    ring_state,
-    run_ring,
-)
+from .model import ring_state, run_ring
 from .simio import ScenarioValidationError
 
 __all__ = [
     "FdPoint",
     "NaschFdPoint",
-    "in_queue_degree",
-    "queue_length",
-    "argmax_grade",
     "sweep_fundamental_diagram",
     "empirical_queue_distribution",
-    "modal_series",
-    "is_unimodal",
 ]
-
-
-def in_queue_degree(vehicle: FcmVehicle, initial_position: int) -> float:
-    """Degree to which a vehicle still queues at its start cell.
-
-    min of "position is the start cell" and "velocity is 0"; zero when
-    either value left the respective support.
-    """
-    return min(vehicle.position.grade(initial_position), vehicle.velocity.grade(0))
-
-
-def queue_length(state: FcmState, initial_positions) -> dict[int, float]:
-    """Fuzzy queue length as a value -> grade mapping (zeros pruned).
-
-    Entry x carries min(degrees of the rear x vehicles, negated degrees
-    of the rest).  The mapping can be sub-normal or even empty when the
-    in-queue degrees are contradictory (a moving vehicle behind a queued
-    one); it is returned unnormalized.  ``initial_positions`` holds one
-    start cell per vehicle.  The degrees are those of
-    :func:`in_queue_degree`, read from the state's engine rows.
-    """
-    return queue_length_of_rows(next(iter_rows(state, 0)), initial_positions)
-
-
-def argmax_grade(dist: dict[int, float]) -> int:
-    """Value with maximal grade, smallest value on ties; 0 for empty."""
-    if not dist:
-        return 0
-    best_value = 0
-    best_grade = -1.0
-    for value in sorted(dist):
-        if dist[value] > best_grade:
-            best_grade = dist[value]
-            best_value = value
-    return best_value
 
 
 # ---------------------------------------------------------------------------
@@ -120,20 +66,21 @@ def sweep_fundamental_diagram(config):
     vehicle class defines the fleet and ``config.fd`` holds every diagram
     setting.  Sweep other settings as ``replace(config, fd=replace(
     config.fd, ...))``, which checks them as the scenario loader does.
+    Every setting is checked before the first point is simulated.
     Returns FdPoint or NaschFdPoint entries in density order.
     """
     if config.boundary != "ring":
         raise ScenarioValidationError(
-            f"fundamental diagrams need a ring road, not boundary {config.boundary!r}"
+            "scenario.boundary: fundamental diagrams need a ring road, "
+            f"not boundary {config.boundary!r}"
         )
     if not config.fd.densities:
-        raise ValueError("no densities configured for the diagram sweep")
-    road = config.road_length
+        raise ScenarioValidationError(
+            "scenario.fd.densities: no densities configured for the diagram sweep"
+        )
     points = []
     for k, density in enumerate(config.fd.densities):
-        count = round(density * road)
-        if count < 1:
-            raise ValueError(f"density {density} places no vehicle on {road} cells")
+        count = round(density * config.road_length)  # at least 1: the config checks it
         if config.model == "fcm":
             points.append(_fcm_point(config, count))
         else:
@@ -195,36 +142,3 @@ def empirical_queue_distribution(ensemble: nasch_mod.NaschEnsemble) -> np.ndarra
     for t in range(qlen.shape[1]):
         hist[t] = np.bincount(qlen[:, t], minlength=m + 1) / ensemble.runs
     return hist
-
-
-def modal_series(hist: np.ndarray) -> np.ndarray:
-    """Most probable length per step (smallest on ties)."""
-    return hist.argmax(axis=1)
-
-
-def is_unimodal(values, tolerance_points: int = 1) -> bool:
-    """Rise-then-fall check that ignores wiggles shorter than the tolerance.
-
-    Comparisons are enforced only between entries more than
-    ``tolerance_points`` grid points apart, so single-point noise (the
-    default) does not break the verdict while dips or rebounds sustained
-    over more than ``tolerance_points`` consecutive entries do.
-    """
-    seq = list(values)
-    n = len(seq)
-    lag = tolerance_points + 1
-    for peak in range(n):
-        ok = True
-        for i in range(n):
-            for j in range(i + lag, n):
-                if j <= peak and seq[i] > seq[j]:
-                    ok = False
-                    break
-                if i >= peak and seq[i] < seq[j]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False

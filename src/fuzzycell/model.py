@@ -25,7 +25,12 @@ engine computes the same update for a whole open or ring road:
 building a fuzzy set per step; :func:`iter_states` turns those rows into
 states.  The row format stays in this module: :func:`membership_of_rows`
 and :func:`queue_length_of_rows` read the space-time row and the fuzzy
-queue length straight from the rows.
+queue length straight from the rows.  Their references are
+:func:`cell_occupancy` and :func:`in_queue_degree`, and that of the flow
+cut bounds is ``fuzznum.alpha_cut``.  Engine states are bit-identical
+per numpy build and CPU dispatch, since the last bit of the dilation
+``pow`` depends on the dispatch; the outputs are bit-identical across
+numpy's AVX-512 and baseline paths.
 
 The engine's per-row tables (``_Fleet``) depend on the classes, the
 boundary, alpha and epsilon.  The module keeps no engine state: a state
@@ -93,12 +98,12 @@ __all__ = [
     "run_ring",
     "flow_summary",
     "cell_occupancy",
+    "in_queue_degree",
     "iter_states",
     "iter_rows",
     "membership_of_rows",
     "queue_length_of_rows",
     "ring_state",
-    "stopped_queue",
 ]
 
 BOUNDARIES = ("open", "ring")
@@ -645,7 +650,8 @@ def _window_max(ext, window):
 
 
 def cell_occupancy(state: FcmState, c: int) -> dict[int, float]:
-    """Fuzzy set of vehicle indexes occupying cell ``c`` (index -> grade)."""
+    """Fuzzy set of vehicle indexes occupying cell ``c`` (index -> grade);
+    the reference for :func:`membership_of_rows`, their largest grade."""
     if not 0 <= c < state.road_length:
         raise ValueError(f"cell {c} outside road of length {state.road_length}")
     out: dict[int, float] = {}
@@ -654,6 +660,13 @@ def cell_occupancy(state: FcmState, c: int) -> dict[int, float]:
         if g > 0.0:
             out[veh.index] = g
     return out
+
+
+def in_queue_degree(vehicle: FcmVehicle, initial_position: int) -> float:
+    """Degree to which a vehicle still queues at its start cell: min of
+    "position is the start cell" and "velocity is 0"; the reference for
+    the degrees :func:`queue_length_of_rows` reads from the rows."""
+    return min(vehicle.position.grade(initial_position), vehicle.velocity.grade(0))
 
 
 def iter_states(state: FcmState, steps: int):
@@ -712,12 +725,12 @@ def membership_of_rows(rows, road_length: int) -> np.ndarray:
 
 
 def queue_length_of_rows(rows, initial_positions) -> dict[int, float]:
-    """Fuzzy queue length of engine rows (:func:`iter_rows`), as
-    ``metrics.queue_length`` defines it.
-
-    Vehicle i's in-queue degree is ``pos[i, slot_i - origin]`` (0 outside
-    the row) min ``vel[i, 0]``; entry x of the result is the minimum of
-    the rear x degrees and of the negated rest, zeros pruned.
+    """Fuzzy queue length of engine rows (:func:`iter_rows`) from each
+    vehicle's :func:`in_queue_degree`, ``pos[i, slot_i - origin]`` (0
+    outside the row) min ``vel[i, 0]``.  Entry x is the minimum of the
+    rear x degrees and of the negated rest, zeros pruned and unnormalized:
+    contradictory degrees (a moving vehicle behind a queued one) leave it
+    sub-normal or empty.
     """
     pos, origin, vel = rows
     n, width = pos.shape
@@ -751,20 +764,3 @@ def ring_state(
         for i in range(count)
     )
     return FcmState(vehicles, road_length, "ring", alpha, epsilon)
-
-
-def stopped_queue(
-    vclass: VehicleClass,
-    count: int,
-    road_length: int,
-    start: int = 0,
-    spacing: int = 1,
-    alpha: float = 0.9,
-    epsilon: float = 0.01,
-) -> FcmState:
-    """A stopped column of vehicles on an open road, rear vehicle first."""
-    vehicles = tuple(
-        FcmVehicle(i, vclass, crisp(start + i * spacing), crisp(0))
-        for i in range(count)
-    )
-    return FcmState(vehicles, road_length, "open", alpha, epsilon)

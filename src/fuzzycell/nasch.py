@@ -32,7 +32,6 @@ __all__ = [
     "iter_states",
     "monte_carlo",
     "queue_length",
-    "queue_state",
     "ring_uniform",
 ]
 
@@ -88,22 +87,6 @@ class NaschState:
         inside = (pos >= 0) & (pos < self.road_length)
         out[pos[inside]] = np.arange(self.positions.size)[inside]
         return out
-
-
-def queue_state(
-    count: int,
-    road_length: int,
-    v_max: int = 3,
-    p: float = 0.2,
-    seed: int = 0,
-    start: int = 0,
-    spacing: int = 1,
-) -> NaschState:
-    """A stopped column of vehicles on an open road."""
-    positions = start + spacing * np.arange(count, dtype=np.int64)
-    return NaschState(
-        road_length, "open", positions, np.zeros(count, dtype=np.int64), v_max, p, seed
-    )
 
 
 def ring_uniform(

@@ -234,6 +234,17 @@ class ScenarioConfig:
                 raise ScenarioValidationError(
                     f"{path}: the nasch model needs crisp positions and velocities"
                 )
+            velocity = int(entry.velocity.values[-1])
+            if self.model == "nasch" and velocity > self.nasch.v_max:
+                raise ScenarioValidationError(
+                    f"{path}.velocity: {velocity} exceeds nasch.v_max {self.nasch.v_max}"
+                )
+        for d in self.fd.densities:
+            if round(d * self.road_length) < 1:
+                raise ScenarioValidationError(
+                    f"scenario.fd.densities: density {d} places no vehicle "
+                    f"on {self.road_length} cells"
+                )
         for i, out in enumerate(self.outputs):
             if out.kind not in OUTPUT_KINDS:
                 raise ScenarioValidationError(
@@ -423,7 +434,9 @@ def build_fcm_state(config: ScenarioConfig) -> FcmState:
 
 def build_nasch_state(config: ScenarioConfig) -> NaschState:
     """Initial baseline state with the fleet defuzzified; a model error
-    names ``scenario.fleet``."""
+    names ``scenario.fleet``.  Velocities are clamped to ``nasch.v_max``,
+    which only an fcm configuration can exceed: ``queue-experiment`` and
+    ``compare`` run the baseline from one."""
     ns = config.nasch
     positions = [defuzz_argmax(e.position) for e in config.fleet]
     velocities = [min(defuzz_argmax(e.velocity), ns.v_max) for e in config.fleet]

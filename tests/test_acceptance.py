@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import argmax_grade, is_unimodal, modal_series, queue_length
 from fuzzycell import (
     FcmState,
     FcmVehicle,
@@ -148,11 +149,11 @@ def test_criterion_4_queue_discharge():
 
         slots = [defuzz_argmax(e.position) for e in config.fleet]
         series = [
-            metrics.queue_length(state, slots)
+            queue_length(state, slots)
             for state in iter_states(build_fcm_state(config), config.steps)
         ]
         assert series[0] == {50: 1.0}
-        fuzzy_lengths = [metrics.argmax_grade(q) for q in series]
+        fuzzy_lengths = [argmax_grade(q) for q in series]
         assert all(a >= b for a, b in zip(fuzzy_lengths, fuzzy_lengths[1:]))
         assert fuzzy_lengths[-1] == 0
 
@@ -162,7 +163,7 @@ def test_criterion_4_queue_discharge():
         )
         hist = metrics.empirical_queue_distribution(ensemble)
         assert np.allclose(hist.sum(axis=1), 1.0)
-        modes = metrics.modal_series(hist)
+        modes = modal_series(hist)
         assert modes[0] == 50
         assert np.all(np.diff(modes) <= 0)
         assert modes[-1] == 0
@@ -195,8 +196,8 @@ def test_criterion_5_fundamental_diagrams():
 
         fcm_flows = [p.flow_argmax for p in fcm_points]
         nasch_flows = [p.mean_flow for p in nasch_points]
-        assert metrics.is_unimodal(fcm_flows, tolerance_points=1)
-        assert metrics.is_unimodal(nasch_flows, tolerance_points=1)
+        assert is_unimodal(fcm_flows, tolerance_points=1)
+        assert is_unimodal(nasch_flows, tolerance_points=1)
         for point in fcm_points:
             assert point.flow_cut_low <= point.flow_argmax <= point.flow_cut_high
         # dot sets carry only states at or above the stated threshold; near

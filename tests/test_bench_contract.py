@@ -15,6 +15,7 @@ import importlib
 import inspect
 from pathlib import Path
 
+from conftest import queue_state
 from fuzzycell import nasch
 
 SAMPLE = Path(__file__).resolve().parents[1] / "bench" / "sample.py"
@@ -47,7 +48,7 @@ def test_engine_entry_points_are_public_functions():
 
 
 def test_monte_carlo_result_has_runs_and_steps():
-    ensemble = nasch.monte_carlo(nasch.queue_state(3, 20), 4, 2, 0)
+    ensemble = nasch.monte_carlo(queue_state(3, 20), 4, 2, 0)
     assert (ensemble.runs, ensemble.steps) == (2, 4)
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import queue_length_reference
+from conftest import queue_length_reference, queue_state
 from fuzzycell import cell_occupancy, defuzz_argmax, model, nasch
 from fuzzycell.cli import build_parser, main
 from fuzzycell.metrics import empirical_queue_distribution, sweep_fundamental_diagram
@@ -339,7 +339,7 @@ def test_compare_without_nasch_block_uses_default_settings(tmp_path):
     assert "nasch" not in text
     path.write_text(text)
     assert main(["compare", str(path), "--out-dir", str(tmp_path)]) == 0
-    initial = nasch.queue_state(5, 60, v_max=3, p=0.2)
+    initial = queue_state(5, 60, v_max=3, p=0.2)
     hist = empirical_queue_distribution(nasch.monte_carlo(initial, 8, 200, 13000))
     write_queue_csv(hist, tmp_path / "expected.csv")
     written = (tmp_path / "small_nasch_queue.csv").read_text()

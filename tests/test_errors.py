@@ -12,7 +12,8 @@ import pytest
 import yaml
 
 from fuzzycell import crisp, wrap_mod
-from fuzzycell.metrics import empirical_queue_distribution
+from fuzzycell.cli import _dispatch, build_parser
+from fuzzycell.metrics import empirical_queue_distribution, sweep_fundamental_diagram
 from fuzzycell.model import (
     FcmState,
     FcmVehicle,
@@ -57,6 +58,22 @@ def _set(key, value):
 
 def _class(**fields):
     return _document(lambda doc: doc["classes"][0].update(fields))
+
+
+def _sweep(**changes):
+    """Sweep the diagram of VALID with its top-level fields changed."""
+    def sweep(tmp_path):
+        sweep_fundamental_diagram(load_scenario(yaml.safe_dump({**VALID, **changes})))
+    return sweep
+
+
+def _command(name):
+    """Run command ``name`` of the command line on VALID."""
+    def run(tmp_path):
+        path = tmp_path / "valid.yaml"
+        path.write_text(yaml.safe_dump(VALID))
+        _dispatch(build_parser().parse_args([name, str(path), "--out-dir", str(tmp_path)]))
+    return run
 
 
 def _spacetime(width, height):
@@ -105,6 +122,10 @@ CASES = {
         "scenario.fd.estimator: unknown estimator 'median'",
     ),
     "fd_theta": (_set("fd", {"theta": 0}), VALIDATION, "scenario.fd.theta: must lie in (0, 1]"),
+    "fd_density_places_no_vehicle": (
+        _set("fd", {"densities": [0.001]}), VALIDATION,
+        "scenario.fd.densities: density 0.001 places no vehicle on 30 cells",
+    ),
     # ScenarioConfig
     "model": (_set("model", "cfd"), VALIDATION, "scenario.model: unknown model 'cfd'"),
     "boundary": (
@@ -117,6 +138,14 @@ CASES = {
     "duplicate_class_names": (
         _document(lambda doc: doc["classes"].append(dict(doc["classes"][0]))), VALIDATION,
         "scenario.classes: class names must be unique",
+    ),
+    "nasch_fleet_velocity_above_v_max": (
+        _document(lambda doc: doc.update(
+            model="nasch",
+            fleet=[{"class": "car", "position": 2, "velocity": 7}],
+            nasch={"v_max": 2},
+        )), VALIDATION,
+        "scenario.fleet[0].velocity: 7 exceeds nasch.v_max 2",
     ),
     "negative_fleet_position": (
         _set("fleet", [{"class": "car", "position": -1}]), VALIDATION,
@@ -285,6 +314,19 @@ CASES = {
     "fleet_negative_velocity": (
         _set("fleet", [{"class": "car", "position": 2, "velocity": -1}]), VALIDATION,
         "scenario.fleet: vehicle 0: velocity support must be non-negative",
+    ),
+    # settings a command needs, checked before it simulates
+    "sweep_no_densities": (
+        _sweep(boundary="ring"), VALIDATION,
+        "scenario.fd.densities: no densities configured for the diagram sweep",
+    ),
+    "sweep_open_road": (
+        _sweep(fd={"densities": [0.5]}), VALIDATION,
+        "scenario.boundary: fundamental diagrams need a ring road, not boundary 'open'",
+    ),
+    "run_without_outputs": (
+        _command("run"), VALIDATION,
+        "scenario.outputs: scenario declares no outputs; nothing to write",
     ),
     # writers
     "spacetime_width": (

@@ -5,13 +5,30 @@ series, the baseline histograms and both fundamental-diagram kinds, so a
 refactor that changes what the model computes, or how a writer formats
 it, fails here.  ``compare ring_fd_fcm`` covers a scenario with no
 ``nasch`` block: its histogram uses the default baseline settings.
+
+The dilation ``pow`` rounds its last bit by numpy's CPU dispatch, so the
+engine's grades differ between numpy's AVX-512 kernels and its baseline
+path; the output bytes must not.  On a host where numpy dispatches to
+AVX-512, the same digests are checked once more in a process that turns
+those kernels off.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from fuzzycell.cli import main
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
+
+AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")  # numpy's dispatch groups with an AVX-512 pow
 
 GOLDEN = [
     (
@@ -54,7 +71,42 @@ GOLDEN = [
 @pytest.mark.parametrize("argv, digests", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
 def test_cli_output_bytes(argv, digests, tmp_path, capsys):
     assert main([*argv, "--out-dir", str(tmp_path)]) == 0
-    written = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
-    }
-    assert written == digests
+    assert _digests(tmp_path) == digests
+
+
+def _digests(out_dir):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+
+
+def _avx512_found():
+    return [group for group in AVX512 if __cpu_features__.get(group)]
+
+
+# Run in a fresh interpreter: numpy reads NPY_DISABLE_CPU_FEATURES at import.
+_WITHOUT_AVX512 = """
+import sys
+from pathlib import Path
+from fuzzycell.cli import main
+from test_golden import GOLDEN, _avx512_found, _digests
+
+assert not _avx512_found(), _avx512_found()
+for i, (argv, digests) in enumerate(GOLDEN):
+    out = Path(sys.argv[1], str(i))
+    assert main([*argv, "--out-dir", str(out)]) == 0, argv
+    assert _digests(out) == digests, argv
+"""
+
+
+@pytest.mark.skipif(
+    not _avx512_found(),
+    reason="numpy dispatches no AVX-512 kernel here, so this host runs the baseline path",
+)
+def test_cli_output_bytes_without_avx512(tmp_path):
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512))
+    env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_AVX512, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

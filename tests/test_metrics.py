@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import fuzzy_ints, queue_length_reference
+from conftest import (
+    argmax_grade,
+    fuzzy_ints,
+    is_unimodal,
+    modal_series,
+    queue_length,
+    queue_length_reference,
+    queue_state,
+    stopped_queue,
+)
 from fuzzycell import (
     FcmState,
     FcmVehicle,
@@ -19,10 +28,9 @@ from fuzzycell import (
     make_fuzzy,
     ring_state,
     step,
-    stopped_queue,
 )
 from fuzzycell import nasch
-from fuzzycell.model import flow_summary, iter_states, run_ring
+from fuzzycell.model import flow_summary, in_queue_degree, iter_states, run_ring
 from fuzzycell.simio import (
     FdSettings,
     NaschSettings,
@@ -30,16 +38,7 @@ from fuzzycell.simio import (
     ScenarioValidationError,
     load_builtin,
 )
-from fuzzycell.metrics import (
-    FdPoint,
-    argmax_grade,
-    empirical_queue_distribution,
-    in_queue_degree,
-    is_unimodal,
-    modal_series,
-    queue_length,
-    sweep_fundamental_diagram,
-)
+from fuzzycell.metrics import FdPoint, empirical_queue_distribution, sweep_fundamental_diagram
 
 
 def fz(*pairs):
@@ -297,7 +296,7 @@ def test_sweep_rejects_open_road():
 
 
 def test_empirical_distribution_rows_sum_to_one():
-    ens = nasch.monte_carlo(nasch.queue_state(10, 120), 30, 25, base_seed=8)
+    ens = nasch.monte_carlo(queue_state(10, 120), 30, 25, base_seed=8)
     hist = empirical_queue_distribution(ens)
     assert hist.shape == (31, 11)
     assert np.allclose(hist.sum(axis=1), 1.0)
@@ -305,13 +304,13 @@ def test_empirical_distribution_rows_sum_to_one():
 
 
 def test_single_run_distribution_degenerate():
-    ens = nasch.monte_carlo(nasch.queue_state(5, 60), 10, 1, base_seed=8)
+    ens = nasch.monte_carlo(queue_state(5, 60), 10, 1, base_seed=8)
     hist = empirical_queue_distribution(ens)
     assert set(np.unique(hist)) <= {0.0, 1.0}
 
 
 def test_modal_series_decreases_to_zero():
-    ens = nasch.monte_carlo(nasch.queue_state(12, 150), 80, 60, base_seed=123)
+    ens = nasch.monte_carlo(queue_state(12, 150), 80, 60, base_seed=123)
     modes = modal_series(empirical_queue_distribution(ens))
     assert modes[0] == 12
     assert modes[-1] == 0
@@ -327,7 +326,7 @@ def test_crisp_specialization_matches_baseline_queue(queue_class):
         "open",
         alpha=1.0,
     )
-    baseline = nasch.queue_state(12, 200, v_max=3, p=0.0, seed=0)
+    baseline = queue_state(12, 200, v_max=3, p=0.0, seed=0)
     start = baseline.positions.copy()
     for _ in range(40):
         fq = queue_length(fuzzy, range(12))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 
+from conftest import stopped_queue
 from fuzzycell import model
 from fuzzycell import (
     DegenerateClassError,
@@ -30,7 +31,6 @@ from fuzzycell import (
     make_fuzzy,
     ring_state,
     step,
-    stopped_queue,
     update_velocity,
 )
 from fuzzycell.fuzznum import _from_dense_rows

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+from conftest import queue_state
 from fuzzycell import nasch
 from fuzzycell.nasch import (
     NaschState,
@@ -15,7 +16,6 @@ from fuzzycell.nasch import (
     monte_carlo,
     nasch_step,
     queue_length,
-    queue_state,
     ring_uniform,
 )
 

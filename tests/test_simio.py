@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import queue_state
 from fuzzycell import crisp, make_fuzzy
 from fuzzycell.metrics import FdPoint, NaschFdPoint
 from fuzzycell.model import VehicleClass
@@ -378,7 +379,7 @@ def test_spacetime_rows_checks_the_declared_height(tmp_path):
 def test_nasch_frames_staircase():
     from fuzzycell import nasch
 
-    states = nasch.iter_states(nasch.queue_state(1, 12, p=0.0, seed=0), 3)
+    states = nasch.iter_states(queue_state(1, 12, p=0.0, seed=0), 3)
     frames = np.stack([nasch_occupancy_row(state) for state in states])
     # single car accelerating from rest: 0, 1, 3, 6
     rows = [int(np.argmax(row)) for row in frames]
