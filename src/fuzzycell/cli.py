@@ -187,7 +187,10 @@ def _nasch_histogram(config):
 
 def _write(config, outputs) -> None:
     """Write the (kind, path) outputs of ``config`` in order; the first
-    streamed one writes every streamed output in one :func:`_stream` pass."""
+    streamed one writes every streamed output in one :func:`_stream` pass.
+    The diagram is swept first, so a rejected sweep writes no file."""
+    if any(kind == "fundamental" for kind, _ in outputs):
+        points = metrics.sweep_fundamental_diagram(config)
     kinds = ("spacetime", "queue") if config.model == "fcm" else ("spacetime",)
     streamed = [(kind, path) for kind, path in outputs if kind in kinds]
     for kind, path in outputs:
@@ -198,7 +201,7 @@ def _write(config, outputs) -> None:
         elif kind == "queue":
             simio.write_queue_csv(_nasch_histogram(config), path)
         else:
-            simio.write_fd_csv(metrics.sweep_fundamental_diagram(config), path)
+            simio.write_fd_csv(points, path)
         print(f"wrote {kind} -> {path}")
 
 

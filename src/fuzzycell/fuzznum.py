@@ -148,9 +148,6 @@ class FuzzyInt:
     def __len__(self) -> int:
         return int(self._values.size)
 
-    def __iter__(self):
-        return iter(self.to_pairs())
-
     def __eq__(self, other):
         if not isinstance(other, FuzzyInt):
             return NotImplemented

@@ -32,14 +32,7 @@ per numpy build and CPU dispatch, since the last bit of the dilation
 ``pow`` depends on the dispatch; the outputs are bit-identical across
 numpy's AVX-512 and baseline paths.
 
-The engine's per-row tables (``_Fleet``) depend on the classes, the
-boundary, alpha and epsilon.  The module keeps no engine state: a state
-that :func:`step` or :func:`run_ring` returns carries its tables as a
-private attribute, not a dataclass field, so a loop that steps each
-returned state builds them once, and ``dataclasses.replace`` drops them.
-Each run rebuilds its rows from the state's fuzzy sets.  :func:`iter_rows`
-takes its first update through :func:`step`, since benchmarks start
-their clock at the first call into the engine.
+Each run builds its tables and rows from the state's fuzzy sets.
 
 A ring run stops simulating once the road repeats.  The update commutes
 with two symmetries of a ring state: rotating every row by s cells (gap
@@ -320,8 +313,7 @@ def run_ring(state: FcmState, steps: int, theta: float | None = None):
     ``flows`` is None when ``theta`` is None.  On a ring the run stops
     simulating once a state repeats an earlier one up to a rotation and
     a relabelling of the vehicles, as the module docstring explains; the
-    result equals ``steps`` calls of :func:`step`, flows included.  The
-    fleet tables of ``state``, built or carried, go on with the result.
+    result equals ``steps`` calls of :func:`step`, flows included.
     """
     if steps < 0:
         raise ValueError(f"steps must be at least 0, got {steps}")
@@ -331,7 +323,7 @@ def run_ring(state: FcmState, steps: int, theta: float | None = None):
     if not state.vehicles:
         flows = flows if flows is None else [(0, 0, 0)] * steps
         return replace(state, step=state.step + steps), flows
-    fleet = getattr(state, "_fleet", None) or _Fleet(state)
+    fleet = _Fleet(state)
     rows = _rows(state, fleet.cap)
     held = []  # velocity rows whose flows are not summed yet
     # a repeat is nominated at update 2 at the earliest, confirmed at 3
@@ -355,9 +347,7 @@ def run_ring(state: FcmState, steps: int, theta: float | None = None):
         if flows is not None:
             flows.extend(flows[-period:] * laps)
         rows = _roll_rows(rows, laps * r, laps * s)
-    out = _materialize(state, rows, state.step + steps)
-    object.__setattr__(out, "_fleet", fleet)  # not a field: replace drops it
-    return out, flows
+    return _materialize(state, rows, state.step + steps), flows
 
 
 def flow_summary(state: FcmState, theta: float) -> tuple[int, int, int]:
@@ -701,10 +691,9 @@ def iter_rows(state: FcmState, steps: int):
         return
     # The first update is a call to step, not to _update: benchmarks time
     # the run from the first call into the engine (step, run_ring or
-    # nasch.monte_carlo).  The state it returns carries the fleet tables;
-    # its rows are rebuilt from its sets once.
+    # nasch.monte_carlo).
     out = step(state)
-    fleet = out._fleet
+    fleet = _Fleet(state)
     rows = _rows(out, fleet.cap)
     yield rows
     for _ in range(steps - 1):

@@ -7,21 +7,22 @@ are cells per step; the physical cell length plays no role in the
 dynamics.
 
 Randomness comes from numpy's PCG64 generator (``numpy.random
-.default_rng``).  Every vehicle consumes exactly one draw per step, in
-vehicle-index order, whether or not the randomization applies, so a
-trajectory is fully determined by the initial state and the seed.  The
-ensemble runner gives run ``i`` its own generator, seeded ``base_seed +
-i``, and takes its stream a fixed number of steps at a time.  A group of
-runs at a time draws into one float64 scratch of bounded size, which is
-compared with ``p`` into a boolean slow-down mask for every run, so no
-float buffer holds the draws of every run.  The runner steps all runs
+.default_rng``), which belongs to the run, not to the state.  Every
+vehicle consumes exactly one draw per step, in vehicle-index order,
+whether or not the randomization applies, so a trajectory is fully
+determined by the initial state and the seed.  The ensemble runner
+gives run ``i`` its own generator, seeded ``base_seed + i``, and takes
+its stream a fixed number of steps at a time.  A group of runs at a
+time draws into one float64 scratch of bounded size, which is compared
+with ``p`` into a boolean slow-down mask for every run, so no float
+buffer holds the draws of every run.  The runner steps all runs
 together on (vehicles x runs) arrays with carried gaps and is
 bit-identical to stepping each run individually (see ``monte_carlo``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,8 +43,8 @@ class NaschState:
 
     Positions are stored unwrapped (monotonic) so ring gaps stay simple
     differences; the ``cells`` property reduces them to cell indexes.
-    The bundled PCG64 generator advances as steps are taken, so stepping
-    a state invalidates its ancestors for further stepping.
+    ``rng_seed`` seeds the generator that a run from this state owns
+    (:func:`iter_states`); the state itself holds no generator.
     """
 
     road_length: int
@@ -54,7 +55,6 @@ class NaschState:
     p: float
     rng_seed: int
     step: int = 0
-    rng: np.random.Generator = field(default=None, repr=False)
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.int64)
@@ -76,8 +76,6 @@ class NaschState:
                 span = int(self.positions[-1] - self.positions[0])
                 if span >= self.road_length or self.positions.size > self.road_length:
                     raise ValueError("ring vehicles must occupy distinct cells")
-        if self.rng is None:
-            self.rng = np.random.default_rng(self.rng_seed)
 
     @property
     def cells(self) -> np.ndarray:
@@ -109,29 +107,31 @@ def _gaps(positions: np.ndarray, road_length: int, boundary: str, v_max: int) ->
     return gap
 
 
-def nasch_step(state: NaschState) -> NaschState:
+def nasch_step(state: NaschState, rng: np.random.Generator) -> NaschState:
     """One parallel update: accelerate, brake, randomize, move.
 
-    Consumes one uniform draw per vehicle from the state's generator (in
-    vehicle-index order) even when the randomization cannot apply.
+    Consumes one uniform draw per vehicle from ``rng`` (in vehicle-index
+    order) even when the randomization cannot apply.
     """
     pos = state.positions
     if pos.size == 0:
         return replace(state, step=state.step + 1)
     vel = np.minimum(state.velocities + 1, state.v_max)
     vel = np.minimum(vel, _gaps(pos, state.road_length, state.boundary, state.v_max))
-    draws = state.rng.random(pos.size)
+    draws = rng.random(pos.size)
     vel = np.where(draws < state.p, np.maximum(vel - 1, 0), vel)
     return replace(state, positions=pos + vel, velocities=vel, step=state.step + 1)
 
 
 def iter_states(state: NaschState, steps: int):
-    """Yield the initial state and then ``steps`` successive updates."""
+    """Yield the initial state and then ``steps`` successive updates,
+    all drawing from one generator seeded ``state.rng_seed``."""
     if steps < 0:
         raise ValueError(f"steps must be at least 0, got {steps}")
+    rng = np.random.default_rng(state.rng_seed)
     yield state
     for _ in range(steps):
-        state = nasch_step(state)
+        state = nasch_step(state, rng)
         yield state
 
 

@@ -261,6 +261,10 @@ class ScenarioConfig:
 _YAML_TYPES = {int: int, float: (int, float), str: str, FuzzyInt: (int, list)}
 _INT64 = np.iinfo(np.int64)
 
+# Vehicles sit on distinct cells, so a queue's engine rows hold at least
+# count**2 float64 grades, 0.8 GB at this count: a longer one cannot run.
+_MAX_QUEUE = 10_000
+
 
 def _need(mapping, key, types, path):
     if key not in mapping:
@@ -363,6 +367,8 @@ def load_scenario(text: str) -> ScenarioConfig:
                 f"scenario.queue.count: {queue.count} vehicles reach cell {cells[-1]}, "
                 f"beyond the road of length {config.road_length}"
             )
+        if queue.count > _MAX_QUEUE:
+            raise ScenarioValidationError(f"scenario.queue.count: more than {_MAX_QUEUE} vehicles")
         entries = tuple(FleetEntry(name, crisp(cell)) for cell in cells)
         config = replace(config, fleet=config.fleet + entries)
 

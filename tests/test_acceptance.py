@@ -89,9 +89,10 @@ def test_criterion_2_crisp_degeneration():
                 road, boundary, positions.copy(), np.zeros(count, dtype=np.int64),
                 v_max, 0.0, 0,
             )
+            rng = np.random.default_rng(base.rng_seed)
             for t in range(200):
                 fuzzy = model_step(fuzzy)
-                base = nasch.nasch_step(base)
+                base = nasch.nasch_step(base, rng)
                 assert all(v.position.is_crisp and v.velocity.is_crisp for v in fuzzy.vehicles)
                 fuzzy_pos = np.array([int(v.position.values[0]) for v in fuzzy.vehicles])
                 base_pos = base.positions % road if boundary == "ring" else base.positions

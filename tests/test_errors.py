@@ -207,6 +207,12 @@ CASES = {
         )), VALIDATION,
         "scenario.queue.count: 10 vehicles reach cell 30, beyond the road of length 30",
     ),
+    "queue_beyond_its_maximum": (
+        _document(lambda doc: doc.update(
+            road_length=2**63 - 1, queue={"class": "car", "count": 10_001, "start": 3},
+        )), VALIDATION,
+        "scenario.queue.count: more than 10000 vehicles",
+    ),
     "bool_value_in_fuzzy_pair": (
         _class(v_max=[[True, 1.0]]), PARSE,
         "scenario.classes[0].v_max: expected integer or [value, grade] pairs",

@@ -328,11 +328,12 @@ def test_crisp_specialization_matches_baseline_queue(queue_class):
     )
     baseline = queue_state(12, 200, v_max=3, p=0.0, seed=0)
     start = baseline.positions.copy()
+    rng = np.random.default_rng(baseline.rng_seed)
     for _ in range(40):
         fq = queue_length(fuzzy, range(12))
         assert fq == {nasch.queue_length(baseline, start): 1.0}
         fuzzy = step(fuzzy)
-        baseline = nasch.nasch_step(baseline)
+        baseline = nasch.nasch_step(baseline, rng)
 
 
 # ---------------------------------------------------------------------------

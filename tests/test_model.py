@@ -468,9 +468,9 @@ def test_run_ring_matches_step_on_open_roads(queue_class):
 
 
 def test_step_of_an_earlier_state_is_unchanged(queue_class):
-    # a stepped state carries its fleet tables, and every step rebuilds
-    # the rows from its own state's sets; an earlier state, or one stepped
-    # after another road, must not see a later state's rows
+    # every step builds its tables and rows from its own state's sets; an
+    # earlier state, or one stepped after another road, must not see a
+    # later state's rows
     first = stopped_queue(queue_class, 5, 80)
     second = step(first)
     third = step(second)
@@ -867,37 +867,24 @@ def test_symmetry_allows_only_relabellings_that_keep_the_classes():
     assert model._symmetry(np.array([0, 1]), (earlier, 0, vel), (later, 0, vel)) is None
 
 
-def test_a_skipped_run_carries_its_fleet_and_replace_drops_it(monkeypatch):
+def test_a_skipped_run_steps_like_a_fresh_state(monkeypatch):
     calls = counting_updates(monkeypatch)
     final, _ = run_ring(ring_state(RING_CAR, 100, 94), 600)  # a jam: slow vehicles
     assert len(calls) < 600
-    assert step(final) == step(replace(final))  # the copy builds its own fleet
-    # a replaced alpha and epsilon must not step with the carried tables
+    assert step(final) == step(replace(final))
+    # a replaced alpha and epsilon step with tables built for them
     fresh = FcmState(final.vehicles, final.road_length, "ring", 0.3, 0.2, final.step)
     assert step(fresh).vehicles != step(final).vehicles
     changed = replace(final, alpha=0.3, epsilon=0.2)
     assert step(changed) == step(fresh) == model.reference_step(fresh)
 
 
-def test_chained_steps_build_the_fleet_once(monkeypatch):
-    builds = []
-    fleet = model._Fleet
-    monkeypatch.setattr(model, "_Fleet", lambda state: builds.append(state) or fleet(state))
-    state = build_fcm_state(load_builtin("queue50"))
-    for _ in range(5):
-        state = step(state)
-    assert len(builds) == 1
-
-
 def test_pickled_states_step_as_their_originals():
-    # a stepped state pickles its fleet tables too; states that share
-    # them store them once
     states = [build_fcm_state(load_builtin("queue50"))]
     for _ in range(4):
         states.append(step(states[-1]))
     loaded = pickle.loads(pickle.dumps(states))
     assert loaded == states
-    assert loaded[1]._fleet is loaded[-1]._fleet
     for copy, original in zip(loaded, states):
         assert step(copy) == step(original)
 
@@ -931,7 +918,7 @@ def test_iter_rows_matches_repeated_step(st, steps):
     assert yielded == steps + 1
 
 
-def test_iter_rows_builds_the_fleet_once(monkeypatch):
+def test_iter_rows_fleet_builds_do_not_grow_with_steps(monkeypatch):
     builds = []
 
     class CountingFleet(model._Fleet):
@@ -941,9 +928,13 @@ def test_iter_rows_builds_the_fleet_once(monkeypatch):
 
     monkeypatch.setattr(model, "_Fleet", CountingFleet)
     state = build_fcm_state(load_builtin("queue50"))
-    for _ in iter_rows(state, 5):
-        pass
-    assert len(builds) == 1
+    counts = []
+    for steps in (5, 50):
+        builds.clear()
+        for _ in iter_rows(state, steps):
+            pass
+        counts.append(len(builds))
+    assert counts[0] == counts[1] > 0
 
 
 @pytest.mark.parametrize("boundary", ["open", "ring"])

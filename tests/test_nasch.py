@@ -1,7 +1,6 @@
 """Baseline cell automaton: rule, determinism, and the ensemble runner."""
 
 import tracemalloc
-from dataclasses import replace
 
 import hypothesis.strategies as hs
 import numpy as np
@@ -48,7 +47,7 @@ def test_state_validation():
 
 def test_free_driving_keeps_top_speed():
     st = NaschState(50, "open", np.array([0, 10]), np.array([3, 3]), 3, 0.0, 1)
-    nxt = nasch_step(st)
+    nxt = nasch_step(st, np.random.default_rng(st.rng_seed))
     assert nxt.velocities.tolist() == [3, 3]
     assert nxt.positions.tolist() == [3, 13]
 
@@ -56,14 +55,14 @@ def test_free_driving_keeps_top_speed():
 def test_blocked_vehicle_stays_stopped():
     # leader adjacent: gap 0 dominates whatever the draw says
     st = NaschState(50, "open", np.array([4, 5]), np.array([0, 0]), 3, 1.0, 7)
-    nxt = nasch_step(st)
+    nxt = nasch_step(st, np.random.default_rng(st.rng_seed))
     assert nxt.velocities[0] == 0 and nxt.positions[0] == 4
 
 
 def test_randomization_decrements():
     # p=1 forces the slowdown after accelerating: 2 -> 3 -> brake 3 -> 2
     st = NaschState(50, "open", np.array([0]), np.array([2]), 3, 1.0, 7)
-    nxt = nasch_step(st)
+    nxt = nasch_step(st, np.random.default_rng(st.rng_seed))
     assert nxt.velocities[0] == 2 and nxt.positions[0] == 2
 
 
@@ -77,8 +76,9 @@ def test_determinism_per_seed():
 
 def test_ring_conserves_and_never_collides():
     st = ring_uniform(20, 40, v_max=5, p=0.3, seed=11)
+    rng = np.random.default_rng(st.rng_seed)
     for _ in range(200):
-        st = nasch_step(st)
+        st = nasch_step(st, rng)
         assert np.all(np.diff(st.positions) > 0)
         cells = np.unique(st.positions % 40)
         assert cells.size == 20
@@ -88,8 +88,9 @@ def test_deterministic_queue_discharges():
     st = queue_state(15, 150, v_max=3, p=0.0, seed=0)
     start = st.positions.copy()
     lengths = [queue_length(st, start)]
+    rng = np.random.default_rng(st.rng_seed)
     for _ in range(80):
-        st = nasch_step(st)
+        st = nasch_step(st, rng)
         lengths.append(queue_length(st, start))
     assert lengths[0] == 15
     assert lengths[-1] == 0
@@ -112,8 +113,9 @@ def test_monte_carlo_matches_sequential_runs():
         st = queue_state(12, 150, v_max=3, p=0.2, seed=500 + i)
         start = st.positions.copy()
         assert ens.queue_lengths[i, 0] == queue_length(st, start)
+        rng = np.random.default_rng(st.rng_seed)
         for t in range(40):
-            st = nasch_step(st)
+            st = nasch_step(st, rng)
             assert ens.queue_lengths[i, t + 1] == queue_length(st, start)
 
 
@@ -174,11 +176,11 @@ def nasch_states(draw):
 def _stepped_run(initial, steps, seed):
     """Queue lengths, total velocities and seam crossings of one run of
     ``nasch_step`` with generator seed ``seed``."""
-    st = replace(initial, rng_seed=seed, rng=None)
+    st, rng = initial, np.random.default_rng(seed)
     start, C = st.positions.copy(), st.road_length
     qlen, total_v, crossings = [queue_length(st, start)], [], []
     for _ in range(steps):
-        nxt = nasch_step(st)
+        nxt = nasch_step(st, rng)
         total_v.append(int(nxt.velocities.sum()))
         moved_laps = nxt.positions // C - st.positions // C
         crossings.append(int(moved_laps.sum()) if st.boundary == "ring" else 0)

@@ -3,10 +3,15 @@
 import copy
 import hashlib
 from dataclasses import MISSING, fields, replace
+from functools import reduce
+from importlib import resources
+from operator import getitem
 
+import hypothesis.strategies as hs
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
 
 from conftest import queue_state
 from fuzzycell import crisp, make_fuzzy
@@ -270,6 +275,58 @@ def test_every_dumped_key_loads_and_its_misspelling_is_rejected(key_path):
     with pytest.raises(ScenarioParseError) as caught:
         load_scenario(yaml.safe_dump(doc, sort_keys=False))
     assert str(caught.value) == f"{_dotted(path)}.{misspelled}: unknown field"
+
+
+BUNDLED_DOCS = [
+    yaml.safe_load((resources.files("fuzzycell") / "scenarios" / f"{name}.yaml").read_text())
+    for name in builtin_scenarios()
+]
+
+# Values that break a field's type or range: the integers just beyond
+# int64 first, then its limits, NaN and infinities, booleans, strings,
+# an empty list and malformed [value, grade] pairs.
+EDGE_VALUES = [
+    2**63, -(2**63) - 1, 2**63 - 1, -(2**63), float("nan"), float("inf"), float("-inf"),
+    True, False, None, 0, -1, "", "car", [], [[1]], [[1, 0.5, 2]], [["1", 1.0]],
+    [[1, True]], [[1, -0.5]], [[1, 2.0]], [[1, float("nan")]], [[1.5, 1.0]],
+]
+
+
+def _leaf_paths(node, path=()):
+    """Every scalar in a loaded document, as a path of keys and indexes."""
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaf_paths(value, (*path, key))
+    else:
+        yield path
+
+
+@hs.composite
+def mutated_documents(draw):
+    """A bundled document with one to three scalars replaced by edge
+    values, or, in one example of four, with one key deleted."""
+    doc = copy.deepcopy(draw(hs.sampled_from(BUNDLED_DOCS)))
+    if draw(hs.integers(0, 3)) == 0:
+        *path, key = draw(hs.sampled_from(list(_key_paths(doc))))
+        del reduce(getitem, path, doc)[key]
+    else:
+        leaves = draw(hs.lists(hs.sampled_from(list(_leaf_paths(doc))), min_size=1, max_size=3,
+                               unique=True))
+        for *path, key in leaves:
+            reduce(getitem, path, doc)[key] = copy.deepcopy(draw(hs.sampled_from(EDGE_VALUES)))
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_documents())
+def test_a_mutated_bundled_document_loads_or_names_its_field(doc):
+    # every document here is valid YAML, so every error names a scenario field
+    try:
+        config = load_scenario(yaml.safe_dump(doc))
+    except ScenarioError as exc:
+        assert str(exc).startswith("scenario")
+    else:
+        assert load_scenario(dump_scenario(config)) == config
 
 
 # ---------------------------------------------------------------------------
